@@ -8,6 +8,7 @@ use maestro_workloads::bots::sparselu::{bmod, lu0};
 use maestro_workloads::bots::strassen::Matrix;
 use maestro_workloads::lulesh::{kernels, Domain};
 use maestro_workloads::micro::mergesort::merge_sort;
+use maestro_workloads::micro::nqueens::count_with_prefix;
 use std::hint::black_box;
 
 fn bench_kernels(c: &mut Criterion) {
@@ -30,6 +31,39 @@ fn bench_kernels(c: &mut Criterion) {
             },
             criterion::BatchSize::LargeInput,
         );
+    });
+
+    // The paper-scale mesh (`Scale::Paper`).
+    g.bench_function("lulesh_step_edge14", |b| {
+        b.iter_batched(
+            || {
+                let mut d = Domain::sedov(14);
+                for _ in 0..3 {
+                    kernels::step_sequential(&mut d);
+                }
+                d
+            },
+            |mut d| {
+                kernels::step_sequential(&mut d);
+                black_box(d.total_internal_energy())
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
+
+    // The paper-scale board, enumerated from the micro-benchmark's
+    // two-row task prefixes.
+    g.bench_function("nqueens_12", |b| {
+        let n: usize = 12;
+        b.iter(|| {
+            let mut total = 0;
+            for c0 in 0..n {
+                for c1 in (0..n).filter(|&c1| c1.abs_diff(c0) > 1) {
+                    total += count_with_prefix(black_box(n), &[c0, c1]);
+                }
+            }
+            black_box(total)
+        });
     });
 
     g.throughput(Throughput::Elements(128 * 128));

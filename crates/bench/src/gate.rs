@@ -24,22 +24,30 @@
 //! The reports are the flat hand-rolled JSON written by the CLI's `--json`
 //! flag; the vendored serde stub has no JSON backend, so values are pulled
 //! out with a scanning extractor that understands exactly that shape (a
-//! `"key": number` pair on one line, first occurrence wins).
+//! `"key": number` pair on one line). A gated key must occur once: a second
+//! occurrence is an error, so a reordered writer cannot make the gate read
+//! the wrong value.
 
-/// Extract the first `"key": <number>` value from a flat JSON document.
+/// Extract the `"key": <number>` value from a flat JSON document.
 ///
 /// This is not a JSON parser — it relies on the `maestro-bench/v1` writer
-/// emitting each scalar on its own line — but it fails loudly (`None`)
-/// rather than misreading when the key is missing or the value is not a
-/// number.
-pub fn json_number(text: &str, key: &str) -> Option<f64> {
+/// emitting each scalar on its own line — but it fails loudly rather than
+/// misreading: `Ok(None)` when the key is missing or its value is not a
+/// number, and an error when the key occurs more than once.
+pub fn json_number(text: &str, key: &str) -> Result<Option<f64>, String> {
     let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
+    let mut hits = text.match_indices(&needle).map(|(at, _)| at);
+    let Some(at) = hits.next() else {
+        return Ok(None);
+    };
+    if hits.next().is_some() {
+        return Err(format!("report has more than one \"{key}\""));
+    }
+    let rest = text[at + needle.len()..].trim_start();
     let end = rest
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
         .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Ok(rest[..end].parse().ok())
 }
 
 /// The numbers the gate reads from each report.
@@ -56,10 +64,12 @@ pub struct GateInputs {
 
 impl GateInputs {
     /// Pull the gated fields out of a `maestro-bench/v1` report, naming
-    /// *every* missing required field on failure (not just the first).
+    /// *every* missing required field on failure (not just the first). A
+    /// gated key that occurs twice is an error.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let scheduler = json_number(text, "scheduler_steps_per_sec");
-        let wall = json_number(text, "total_wall_s");
+        let scheduler = json_number(text, "scheduler_steps_per_sec")?;
+        let wall = json_number(text, "total_wall_s")?;
+        let service_goodput_rps = json_number(text, "service_goodput_rps")?;
         let mut missing = Vec::new();
         if scheduler.is_none() {
             missing.push("scheduler_steps_per_sec");
@@ -73,7 +83,7 @@ impl GateInputs {
         Ok(Self {
             scheduler_steps_per_sec: scheduler.expect("checked above"),
             total_wall_s: wall.expect("checked above"),
-            service_goodput_rps: json_number(text, "service_goodput_rps"),
+            service_goodput_rps,
         })
     }
 }
@@ -189,11 +199,36 @@ mod tests {
 
     #[test]
     fn extracts_numbers_from_report_shape() {
-        assert_eq!(json_number(REPORT, "total_wall_s"), Some(28.1085));
-        assert_eq!(json_number(REPORT, "scheduler_steps_per_sec"), Some(2_054_290.0));
-        assert_eq!(json_number(REPORT, "machine_advance_ns_per_op"), Some(22.45));
-        assert_eq!(json_number(REPORT, "no_such_key"), None);
-        assert_eq!(json_number("{\"k\": \"string\"}", "k"), None);
+        assert_eq!(json_number(REPORT, "total_wall_s"), Ok(Some(28.1085)));
+        assert_eq!(json_number(REPORT, "scheduler_steps_per_sec"), Ok(Some(2_054_290.0)));
+        assert_eq!(json_number(REPORT, "machine_advance_ns_per_op"), Ok(Some(22.45)));
+        assert_eq!(json_number(REPORT, "no_such_key"), Ok(None));
+        assert_eq!(json_number("{\"k\": \"string\"}", "k"), Ok(None));
+        // A key that is only a suffix of another key does not match it.
+        assert_eq!(json_number(REPORT, "wall_s"), Ok(None));
+    }
+
+    #[test]
+    fn duplicate_key_is_an_error() {
+        let twice = "{\n  \"total_wall_s\": 1.5,\n  \"x\": {\n    \"total_wall_s\": 9\n  }\n}\n";
+        let err = json_number(twice, "total_wall_s").unwrap_err();
+        assert!(err.contains("total_wall_s"), "{err}");
+        let report = REPORT.replace("\"pr\": \"PR6\",", "\"scheduler_steps_per_sec\": 1,");
+        let err = GateInputs::parse(&report).unwrap_err();
+        assert!(err.contains("more than one \"scheduler_steps_per_sec\""), "{err}");
+    }
+
+    #[test]
+    fn committed_baselines_hold_each_gated_key_once() {
+        for baseline in [
+            include_str!("../../../BENCH_PR5.json"),
+            include_str!("../../../BENCH_PR6.json"),
+            include_str!("../../../BENCH_PR7.json"),
+            include_str!("../../../BENCH_PR8.json"),
+            include_str!("../../../BENCH_PR9.json"),
+        ] {
+            GateInputs::parse(baseline).expect("baseline parses");
+        }
     }
 
     #[test]

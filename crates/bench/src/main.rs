@@ -223,6 +223,15 @@ fn run_list(names: &[&str], scale: Scale, csv: bool, jobs: usize) -> Vec<Timed> 
     })
 }
 
+/// The probes a `--json` perf report carries besides the experiment
+/// timings.
+struct Probes {
+    micro: perf::MicroPerf,
+    fork: perf::ForkSweepPerf,
+    fleet: perf::FleetPerf,
+    pareto: Vec<experiments::ParetoPoint>,
+}
+
 /// Hand-rolled JSON writer for the perf trajectory (schema
 /// `maestro-bench/v1`; documented in EXPERIMENTS.md). The vendored serde
 /// stub has no JSON backend, and the report is flat enough that assembling
@@ -231,12 +240,10 @@ fn perf_report_json(
     scale: Scale,
     jobs: usize,
     timed: &[Timed],
-    micro: &perf::MicroPerf,
-    fork: &perf::ForkSweepPerf,
-    fleet: &perf::FleetPerf,
-    pareto: &[experiments::ParetoPoint],
+    probes: &Probes,
     total_wall_s: f64,
 ) -> String {
+    let Probes { micro, fork, fleet, pareto } = probes;
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"maestro-bench/v1\",");
@@ -708,12 +715,13 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let micro = perf::micro_perf();
-        let fork = perf::fork_sweep_probe(jobs);
-        let fleet = perf::fleet_advance_probe(jobs);
-        let pareto = experiments::pareto(scale, jobs);
-        let report =
-            perf_report_json(scale, jobs, &timed, &micro, &fork, &fleet, &pareto, total_wall_s);
+        let probes = Probes {
+            micro: perf::micro_perf(),
+            fork: perf::fork_sweep_probe(jobs),
+            fleet: perf::fleet_advance_probe(jobs),
+            pareto: experiments::pareto(scale, jobs),
+        };
+        let report = perf_report_json(scale, jobs, &timed, &probes, total_wall_s);
         if let Err(e) = std::fs::write(&path, report) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);

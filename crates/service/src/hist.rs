@@ -178,7 +178,7 @@ mod tests {
         }
         assert_eq!(LatencyHist::bucket_bounds(0).0, 0);
         let (lo, hi) = LatencyHist::bucket_bounds(BUCKETS - 1);
-        assert!(lo <= u64::MAX && hi == u64::MAX, "top bucket saturates: {lo}..{hi}");
+        assert_eq!(hi, u64::MAX, "top bucket saturates: {lo}..{hi}");
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! origin, with symmetry boundary conditions on the three coordinate planes
 //! — exactly the problem the LLNL mini-app ships.
 
+use crate::lulesh::kernels::ElemForce;
+
 /// Ideal-gas gamma used by the EOS.
 pub const GAMMA: f64 = 1.4;
 /// Initial material density.
@@ -67,6 +69,10 @@ pub struct Domain {
     pub arealg: Vec<f64>,
     /// Sound speed.
     pub ss: Vec<f64>,
+    /// Per-element inputs of the force gather. Scratch: rewritten from the
+    /// fields above by [`calc_force_terms`](crate::lulesh::kernels::calc_force_terms)
+    /// at the start of every cycle.
+    pub force: Vec<ElemForce>,
 
     /// Current timestep.
     pub dt: f64,
@@ -131,32 +137,32 @@ impl Domain {
         ]
     }
 
-    /// Elements adjacent to node `idx` (1 to 8 of them).
-    pub fn node_elems(&self, idx: usize) -> Vec<usize> {
+    /// Elements adjacent to node `idx` (1 to 8 of them), each with the
+    /// node's corner slot in that element (`elem_nodes(elem)[slot] == idx`).
+    ///
+    /// Elements come in the order the force gather sums them: lattice
+    /// offsets 0 then −1 in `i`, then `j`, then `k`, which lists the element
+    /// indices in descending order.
+    pub fn node_corners(&self, idx: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        // Corner slot, in LULESH ordering, of the node at lattice offset
+        // (di, dj, dk) from an element's origin node, indexed by
+        // di + 2·dj + 4·dk.
+        const SLOT: [usize; 8] = [0, 1, 3, 2, 4, 5, 7, 6];
         let n = self.nper();
         let (i, j, k) = (idx % n, (idx / n) % n, idx / (n * n));
-        let mut out = Vec::with_capacity(8);
-        for dk in 0..2usize {
-            for dj in 0..2usize {
-                for di in 0..2usize {
-                    let (ei, ej, ek) = (
-                        i as isize - di as isize,
-                        j as isize - dj as isize,
-                        k as isize - dk as isize,
-                    );
-                    if ei >= 0
-                        && ej >= 0
-                        && ek >= 0
-                        && (ei as usize) < self.edge
-                        && (ej as usize) < self.edge
-                        && (ek as usize) < self.edge
-                    {
-                        out.push(self.elem_index(ei as usize, ej as usize, ek as usize));
-                    }
-                }
-            }
-        }
-        out
+        (0..8).filter_map(move |c| {
+            let ei = i.checked_sub(c & 1)?;
+            let ej = j.checked_sub((c >> 1) & 1)?;
+            let ek = k.checked_sub(c >> 2)?;
+            (ei < self.edge && ej < self.edge && ek < self.edge)
+                .then(|| (self.elem_index(ei, ej, ek), SLOT[c]))
+        })
+    }
+
+    /// Elements adjacent to node `idx` (1 to 8 of them), in
+    /// [`node_corners`](Self::node_corners) order.
+    pub fn node_elems(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        self.node_corners(idx).map(|(elem, _)| elem)
     }
 
     /// Build the Sedov blast problem on an `edge³` mesh of the unit cube.
@@ -190,6 +196,7 @@ impl Domain {
             vdov: vec![0.0; num_elems],
             arealg: vec![0.0; num_elems],
             ss: vec![0.0; num_elems],
+            force: vec![ElemForce::default(); num_elems],
             dt: 1.0e-5,
             time: 0.0,
             cycle: 0,
@@ -283,11 +290,21 @@ mod tests {
         let d = Domain::sedov(3);
         for e in 0..d.num_elems() {
             for n in d.elem_nodes(e) {
-                assert!(d.node_elems(n).contains(&e), "elem {e} missing from node {n}");
+                assert!(d.node_elems(n).any(|m| m == e), "elem {e} missing from node {n}");
             }
         }
         // Interior node touches 8 elements; the origin corner touches 1.
-        assert_eq!(d.node_elems(d.node_index(1, 1, 1)).len(), 8);
-        assert_eq!(d.node_elems(d.node_index(0, 0, 0)).len(), 1);
+        assert_eq!(d.node_elems(d.node_index(1, 1, 1)).count(), 8);
+        assert_eq!(d.node_elems(d.node_index(0, 0, 0)).count(), 1);
+    }
+
+    #[test]
+    fn node_corner_slots_point_back_at_the_node() {
+        let d = Domain::sedov(3);
+        for n in 0..d.num_nodes() {
+            for (e, slot) in d.node_corners(n) {
+                assert_eq!(d.elem_nodes(e)[slot], n, "node {n}, elem {e}");
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The Lagrangian hydro kernels, in the order LULESH runs them each cycle:
 //!
-//! 1. stress + hourglass force integration (element → node);
+//! 1. stress + hourglass force terms per element, then their integration
+//!    onto the nodes (element → node);
 //! 2. acceleration, symmetry boundary conditions, velocity/position update;
 //! 3. kinematics: new volumes, strain rates, characteristic lengths;
 //! 4. artificial viscosity (q);
@@ -92,39 +93,63 @@ pub fn elem_volume_gradients(p: &[[f64; 3]; 8]) -> [[f64; 3]; 8] {
 /// Hourglass damping coefficient.
 const HG_COEF: f64 = 0.03;
 
-/// Kernel 1 (node form): accumulate stress and hourglass forces on the
-/// nodes in `range`. Gather formulation: each node reads its adjacent
-/// elements, so chunks never write each other's rows.
+/// What the force gather reads from one element: its corner volume
+/// gradients, stress, mean corner velocity and hourglass damping scale.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ElemForce {
+    /// ∂V/∂x at each corner, in LULESH node order.
+    pub grads: [[f64; 3]; 8],
+    /// Pressure plus the viscous pseudo-pressure, p + q.
+    pub stress: f64,
+    /// Mean velocity of the eight corners.
+    pub mean: [f64; 3],
+    /// Hourglass damping coefficient times density, length and sound speed.
+    pub hg_scale: f64,
+}
+
+/// Kernel 1a (element form, serial): compute every element's [`ElemForce`]
+/// once per cycle, before the force gather. Every node of an element reads
+/// the same values, so computing them once per element instead of once per
+/// (node, element) pair leaves the gathered forces bit-identical.
+pub fn calc_force_terms(d: &mut Domain) {
+    for elem in 0..d.num_elems() {
+        let nodes = d.elem_nodes(elem);
+        let mut mean = [0.0f64; 3];
+        for &m in &nodes {
+            mean[0] += d.xd[m];
+            mean[1] += d.yd[m];
+            mean[2] += d.zd[m];
+        }
+        for x in &mut mean {
+            *x /= 8.0;
+        }
+        let rho = RHO0 / d.v[elem].max(1e-12);
+        d.force[elem] = ElemForce {
+            grads: elem_volume_gradients(&corner_positions(d, elem)),
+            stress: d.p[elem] + d.q[elem],
+            mean,
+            hg_scale: HG_COEF * rho * d.arealg[elem] * d.ss[elem].max(1e-12),
+        };
+    }
+}
+
+/// Kernel 1b (node form): accumulate stress and hourglass forces on the
+/// nodes in `range` from the terms [`calc_force_terms`] left in `d.force`.
+/// Gather formulation: each node reads its adjacent elements, so chunks
+/// never write each other's rows.
 pub fn integrate_force(d: &mut Domain, range: std::ops::Range<usize>) {
     for n in range {
+        let vel = [d.xd[n], d.yd[n], d.zd[n]];
         let mut f = [0.0f64; 3];
-        for elem in d.node_elems(n) {
-            let p = corner_positions(d, elem);
-            let grads = elem_volume_gradients(&p);
-            let nodes = d.elem_nodes(elem);
-            let slot = nodes.iter().position(|&m| m == n).expect("adjacency is symmetric");
-            // Pressure (and the viscous pseudo-pressure) push the corner
-            // outward: F = +(p+q)·∂V/∂x.
-            let stress = d.p[elem] + d.q[elem];
+        for (elem, slot) in d.node_corners(n) {
+            let t = &d.force[elem];
             for x in 0..3 {
-                f[x] += stress * grads[slot][x];
+                // Pressure (and the viscous pseudo-pressure) push the
+                // corner outward: F = +(p+q)·∂V/∂x. Hourglass control damps
+                // the node's velocity toward the element mean velocity.
+                f[x] += t.stress * t.grads[slot][x];
+                f[x] -= t.hg_scale * (vel[x] - t.mean[x]);
             }
-            // Hourglass control: damp this node's velocity toward the
-            // element mean velocity.
-            let mut mean = [0.0f64; 3];
-            for &m in &nodes {
-                mean[0] += d.xd[m];
-                mean[1] += d.yd[m];
-                mean[2] += d.zd[m];
-            }
-            for x in &mut mean {
-                *x /= 8.0;
-            }
-            let rho = RHO0 / d.v[elem].max(1e-12);
-            let scale = HG_COEF * rho * d.arealg[elem] * d.ss[elem].max(1e-12);
-            f[0] -= scale * (d.xd[n] - mean[0]);
-            f[1] -= scale * (d.yd[n] - mean[1]);
-            f[2] -= scale * (d.zd[n] - mean[2]);
         }
         d.fx[n] = f[0];
         d.fy[n] = f[1];
@@ -242,6 +267,7 @@ pub fn calc_dt(d: &Domain) -> f64 {
 /// One full sequential cycle (the reference the parallel driver must match).
 pub fn step_sequential(d: &mut Domain) {
     let dt = d.dt;
+    calc_force_terms(d);
     integrate_force(d, 0..d.num_nodes());
     integrate_motion(d, 0..d.num_nodes(), dt);
     calc_kinematics(d, 0..d.num_elems(), dt);

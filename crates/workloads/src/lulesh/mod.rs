@@ -80,6 +80,11 @@ impl TaskLogic<Domain> for LuleshDriver {
         if self.steps == 0 {
             return Step::Done(TaskValue::of(d.total_internal_energy()));
         }
+        if self.phase_idx == 0 {
+            // The per-element force terms, as step_sequential computes them.
+            // Host work only: the force phase's calibrated cost covers it.
+            kernels::calc_force_terms(d);
+        }
         let phase = &PHASES[self.phase_idx];
         let cost = self.phase_costs[self.phase_idx];
         let total = if phase.over_nodes { d.num_nodes() } else { d.num_elems() };

@@ -50,34 +50,57 @@ impl MergeSort {
 }
 
 /// Real sequential merge sort (ascending), used by both half-tasks.
+///
+/// Top-down, with one scratch copy of the input: the two buffers swap the
+/// source and destination roles at every level, so no level allocates.
 pub fn merge_sort(data: &mut [u64]) {
-    let n = data.len();
+    let mut scratch = data.to_vec();
+    sort_into(&mut scratch, data);
+}
+
+/// Sort `dst` using `src` as scratch. On entry both hold the same values.
+fn sort_into(src: &mut [u64], dst: &mut [u64]) {
+    let n = dst.len();
     if n <= 32 {
-        data.sort_unstable(); // insertion-sized base case
+        dst.sort_unstable(); // insertion-sized base case
         return;
     }
     let mid = n / 2;
-    merge_sort(&mut data[..mid]);
-    merge_sort(&mut data[mid..]);
-    let merged = merge(&data[..mid], &data[mid..]);
-    data.copy_from_slice(&merged);
+    let (src_lo, src_hi) = src.split_at_mut(mid);
+    let (dst_lo, dst_hi) = dst.split_at_mut(mid);
+    // Sort each half into `src`, then merge the halves back into `dst`.
+    sort_into(dst_lo, src_lo);
+    sort_into(dst_hi, src_hi);
+    merge_into(src_lo, src_hi, dst);
+}
+
+/// Merge sorted runs `a` and `b` into `out` (`a.len() + b.len()` long).
+/// The element choice is a select, not a branch, so random keys cost no
+/// mispredictions. Runs already in order are copied: the select loop is
+/// latency-bound and would be slower there than a predicted branch.
+fn merge_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+    assert_eq!(a.len() + b.len(), out.len(), "merge output must fit both runs exactly");
+    if a.last() <= b.first() {
+        out[..a.len()].copy_from_slice(a);
+        out[a.len()..].copy_from_slice(b);
+        return;
+    }
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let take_a = a[i] <= b[j];
+        out[k] = if take_a { a[i] } else { b[j] };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
+        k += 1;
+    }
+    out[k..k + a.len() - i].copy_from_slice(&a[i..]);
+    out[k + a.len() - i..].copy_from_slice(&b[j..]);
 }
 
 /// Real two-way merge of sorted runs.
 pub fn merge(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    let mut out = vec![0; a.len() + b.len()];
+    merge_into(a, b, &mut out);
     out
 }
 

@@ -59,35 +59,45 @@ impl NQueens {
 /// queen already placed (one per row, columns in `placed`).
 pub fn prefix_safe(placed: &[usize], col: usize) -> bool {
     let row = placed.len();
-    placed
-        .iter()
-        .enumerate()
-        .all(|(r, &c)| c != col && (row - r) as i64 != (col as i64 - c as i64).abs())
+    placed.iter().enumerate().all(|(r, &c)| c != col && row - r != c.abs_diff(col))
 }
+
+/// Largest board `count_with_prefix` accepts.
+const MAX_N: usize = 32;
 
 /// Sequential subtree enumeration with queens pre-placed in `prefix`;
 /// returns 0 for an internally inconsistent prefix.
+///
+/// The search walks one fixed-size board (row → column), checking each
+/// candidate against every queen above it, as BOTS's `ok()` does.
 pub fn count_with_prefix(n: usize, prefix: &[usize]) -> u64 {
-    fn rec(n: usize, placed: &mut Vec<usize>) -> u64 {
-        if placed.len() == n {
+    fn rec(n: usize, board: &mut [usize; MAX_N], row: usize) -> u64 {
+        if row == n {
             return 1;
         }
         let mut total = 0;
         for col in 0..n {
-            if prefix_safe(placed, col) {
-                placed.push(col);
-                total += rec(n, placed);
-                placed.pop();
+            if prefix_safe(&board[..row], col) {
+                board[row] = col;
+                total += rec(n, board, row + 1);
             }
         }
         total
     }
+    assert!(n <= MAX_N, "n-queens board {n} exceeds {MAX_N}");
     for (i, &c) in prefix.iter().enumerate() {
         if !prefix_safe(&prefix[..i], c) {
             return 0;
         }
     }
-    rec(n, &mut prefix.to_vec())
+    // A consistent prefix of on-board columns never exceeds n rows; any
+    // longer prefix leaves no way to reach exactly n rows.
+    if prefix.len() > n {
+        return 0;
+    }
+    let mut board = [0; MAX_N];
+    board[..prefix.len()].copy_from_slice(prefix);
+    rec(n, &mut board, prefix.len())
 }
 
 impl Workload for NQueens {
