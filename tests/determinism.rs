@@ -258,3 +258,71 @@ fn results_independent_of_worker_count() {
         }
     }
 }
+
+/// A plain run is a captured run under an empty plan: `try_run` and
+/// `run_captured(.., &SnapshotPlan::none())` report the same float bits,
+/// counters and controller summary for every registered scenario, and fail
+/// identically on a panicking task bag; `try_run_service` and
+/// `run_service_captured` agree the same way, request ledger included.
+#[test]
+fn plain_runs_match_runs_captured_without_a_plan() {
+    use maestro::MaestroRunEnd;
+    use maestro_bench::experiments::service_at_scale;
+    use maestro_bench::scenario::{scenario, service_facade, SCENARIO_NAMES};
+    use maestro_runtime::SnapshotPlan;
+    use maestro_service::ServiceSummary;
+    use maestro_workloads::failing::panicking_bag;
+
+    let key = |r: &maestro::RunReport| {
+        (r.elapsed_s.to_bits(), r.joules.to_bits(), r.stats, format!("{:?}", r.throttle))
+    };
+
+    for name in SCENARIO_NAMES {
+        let sc = scenario(name).expect("registered");
+        let plain = Maestro::new(sc.config.clone())
+            .try_run(sc.name, &mut (), sc.spec.clone().into_task())
+            .expect("plain run completes");
+        let captured = Maestro::new(sc.config.clone())
+            .run_captured(sc.name, &mut (), sc.spec.clone().into_task(), &SnapshotPlan::none())
+            .expect("capture succeeds")
+            .report()
+            .expect("captured run completes");
+        assert_eq!(key(&plain), key(&captured), "{name}");
+    }
+
+    let plain_err = Maestro::new(MaestroConfig::adaptive(16))
+        .try_run("bag", &mut (), panicking_bag(200, 37))
+        .expect_err("a panicking bag fails");
+    let captured_err = match Maestro::new(MaestroConfig::adaptive(16))
+        .run_captured("bag", &mut (), panicking_bag(200, 37), &SnapshotPlan::none())
+        .expect("no capture takes place")
+        .end
+    {
+        MaestroRunEnd::Failed(e) => e,
+        other => panic!("a panicking bag must fail, got {other:?}"),
+    };
+    assert_eq!(plain_err.to_string(), captured_err.to_string(), "error text");
+    assert_eq!(plain_err.partial_stats(), captured_err.partial_stats(), "partial stats");
+    assert!(plain_err.partial_stats().is_some_and(|s| s.task_panics == 1));
+
+    // svc-burst runs under the SLO governor; svc-storm-guarded runs
+    // ungoverned and sheds.
+    for name in ["svc-burst", "svc-storm-guarded"] {
+        let sc = service_at_scale(name, Scale::Test);
+        let (mut m, source, handle) = service_facade(&sc);
+        let plain = m.try_run_service(sc.name, &mut (), source).expect("plain run completes");
+        let plain_summary = ServiceSummary::collect(&handle, plain.elapsed_s);
+        let (mut m, source, handle) = service_facade(&sc);
+        let captured = m
+            .run_service_captured(sc.name, &mut (), source, &SnapshotPlan::none())
+            .expect("capture succeeds")
+            .report()
+            .expect("captured run completes");
+        let captured_summary = ServiceSummary::collect(&handle, captured.elapsed_s);
+        assert_eq!(key(&plain), key(&captured), "{name}");
+        assert_eq!(plain_summary, captured_summary, "{name} service summary");
+        if sc.governor.is_none() {
+            assert!(plain.stats.requests_shed > 0, "{name} must shed: {:?}", plain.stats);
+        }
+    }
+}
