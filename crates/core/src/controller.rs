@@ -10,11 +10,11 @@
 //! opportunity. If both conditions are Low, throttling is disabled."
 //!
 //! In the virtual-time engine both daemons fire from the same monitor hook:
-//! the embedded [`RcrDaemon`] samples the hardware counters and publishes to
-//! the blackboard, then the controller reads the blackboard back and applies
-//! the classification rule. Keeping the blackboard in the middle preserves
-//! the paper's architecture (and lets tests and tools watch the same region
-//! the controller sees).
+//! the embedded [`RcrDaemon`](maestro_rcr::RcrDaemon) samples the hardware
+//! counters and publishes to the blackboard, then the controller reads the
+//! blackboard back and applies the classification rule. Keeping the
+//! blackboard in the middle preserves the paper's architecture (and lets
+//! tests and tools watch the same region the controller sees).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -23,7 +23,7 @@ use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
 use maestro_machine::{FaultPlan, Machine};
 use maestro_rapl::RetryPolicy;
 use maestro_rcr::{
-    Level, MeterThresholds, Supervisor, SupervisorConfig, SupervisorStats, ThrottleSignals,
+    Level, MeterThresholds, Supervisor, SupervisorConfig, ThrottleSignals,
 };
 use maestro_runtime::{Monitor, ThrottleState};
 
@@ -197,18 +197,6 @@ impl ThrottleController {
         Self::with_config(machine, ControllerConfig::default())
     }
 
-    /// Build with custom thresholds.
-    pub fn with_thresholds(
-        machine: &Machine,
-        power: MeterThresholds,
-        memory: MeterThresholds,
-    ) -> (Self, TraceHandle) {
-        Self::with_config(
-            machine,
-            ControllerConfig { power: Some(power), memory: Some(memory), ..Default::default() },
-        )
-    }
-
     /// Build with full control over thresholds, safe mode, retries, and
     /// fault injection.
     pub fn with_config(machine: &Machine, cfg: ControllerConfig) -> (Self, TraceHandle) {
@@ -250,11 +238,6 @@ impl ThrottleController {
     /// Health tallies aggregated across every daemon incarnation.
     pub fn daemon_health(&self) -> maestro_rcr::DaemonHealth {
         self.supervisor.health()
-    }
-
-    /// Kill/restart tallies of the daemon supervisor.
-    pub fn supervisor_stats(&self) -> SupervisorStats {
-        self.supervisor.stats()
     }
 
     /// True while the controller is failing safe (throttling deactivated

@@ -291,24 +291,44 @@ impl Maestro {
         app: &mut C,
         root: BoxTask<C>,
     ) -> Result<RunReport, RuntimeError> {
-        let anchors = self.run_anchors();
-        let region = Region::start(name, self.runtime.machine());
-        let outcome = self.runtime.run(app, root)?;
-        let report = region.end(self.runtime.machine());
-        Ok(self.build_report(name, outcome, report, &anchors))
+        let run = self.run_captured(name, app, root, &SnapshotPlan::none());
+        self.plain(run)
     }
 
-    /// The facade-side measurement baselines taken at run start, so per-run
-    /// summaries subtract prior runs on the same warm instance.
-    fn run_anchors(&self) -> RunAnchors {
-        RunAnchors {
+    /// A plain run's report. Under an empty plan a run never suspends and
+    /// never serializes, so only completion and failure come back.
+    fn plain(&self, run: Result<MaestroRun, SnapError>) -> Result<RunReport, RuntimeError> {
+        match run.map(|r| r.end) {
+            Ok(MaestroRunEnd::Completed(report)) => Ok(report),
+            Ok(MaestroRunEnd::Failed(e)) => Err(e),
+            Ok(MaestroRunEnd::Suspended(_)) | Err(_) => Err(RuntimeError::Internal {
+                detail: "run without snapshots suspended or captured",
+                t_ns: self.runtime.machine().now_ns(),
+                partial: Box::default(),
+            }),
+        }
+    }
+
+    /// Measure one run with the RCR region API: open the region and the
+    /// facade baselines, run, and turn the result into a [`MaestroRun`].
+    fn measured(
+        &mut self,
+        name: &str,
+        run: impl FnOnce(&mut Runtime) -> Result<CapturedRun, SnapError>,
+    ) -> Result<MaestroRun, SnapError> {
+        // Baselines taken at run start, so per-run summaries subtract prior
+        // runs on the same warm instance.
+        let anchors = RunAnchors {
             decisions_before: self.trace.as_ref().map_or(0, |t| t.borrow().samples.len()) as u64,
             missed_before: self.watchdog_missed.as_ref().map_or(0, |m| m.get()),
             cp_before: self
                 .control_plane
                 .as_ref()
                 .map_or_else(ControlPlaneStats::default, |h| h.get()),
-        }
+        };
+        let region = Region::start(name, self.runtime.machine());
+        let captured = run(&mut self.runtime)?;
+        Ok(self.wrap_captured(name, region, anchors, captured))
     }
 
     fn build_report(
@@ -378,11 +398,8 @@ impl Maestro {
         app: &mut C,
         source: Box<dyn RequestSource>,
     ) -> Result<RunReport, RuntimeError> {
-        let anchors = self.run_anchors();
-        let region = Region::start(name, self.runtime.machine());
-        let outcome = self.runtime.run_service(app, source)?;
-        let report = region.end(self.runtime.machine());
-        Ok(self.build_report(name, outcome, report, &anchors))
+        let run = self.run_service_captured(name, app, source, &SnapshotPlan::none());
+        self.plain(run)
     }
 
     /// [`Maestro::try_run_service`] under a [`SnapshotPlan`] — the service
@@ -394,10 +411,7 @@ impl Maestro {
         source: Box<dyn RequestSource>,
         plan: &SnapshotPlan,
     ) -> Result<MaestroRun, SnapError> {
-        let anchors = self.run_anchors();
-        let region = Region::start(name, self.runtime.machine());
-        let captured = self.runtime.run_service_captured(app, source, plan)?;
-        Ok(self.wrap_captured(name, region, anchors, captured))
+        self.measured(name, |rt| rt.run_service_captured(app, source, plan))
     }
 
     /// Resume a suspended service run. `source` must be freshly built with
@@ -413,12 +427,7 @@ impl Maestro {
     ) -> Result<MaestroRun, SnapError> {
         let captured =
             self.runtime.resume_service_captured(app, source, &snapshot.runtime_bytes, plan)?;
-        let anchors = RunAnchors {
-            decisions_before: snapshot.decisions_before,
-            missed_before: snapshot.missed_before,
-            cp_before: snapshot.cp_before,
-        };
-        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), anchors, captured))
+        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), snapshot.anchors, captured))
     }
 
     // ------------------------------------------------------------------
@@ -437,10 +446,7 @@ impl Maestro {
         root: BoxTask<C>,
         plan: &SnapshotPlan,
     ) -> Result<MaestroRun, SnapError> {
-        let anchors = self.run_anchors();
-        let region = Region::start(name, self.runtime.machine());
-        let captured = self.runtime.run_captured(app, root, plan)?;
-        Ok(self.wrap_captured(name, region, anchors, captured))
+        self.measured(name, |rt| rt.run_captured(app, root, plan))
     }
 
     /// Resume a suspended run on this (freshly built or warm) facade. The
@@ -455,12 +461,7 @@ impl Maestro {
         plan: &SnapshotPlan,
     ) -> Result<MaestroRun, SnapError> {
         let captured = self.runtime.resume_captured(app, &snapshot.runtime_bytes, plan)?;
-        let anchors = RunAnchors {
-            decisions_before: snapshot.decisions_before,
-            missed_before: snapshot.missed_before,
-            cp_before: snapshot.cp_before,
-        };
-        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), anchors, captured))
+        Ok(self.wrap_captured(&snapshot.name, snapshot.region.clone(), snapshot.anchors, captured))
     }
 
     fn wrap_captured(
@@ -474,9 +475,7 @@ impl Maestro {
             name: name.to_string(),
             t_ns,
             region: region.clone(),
-            decisions_before: anchors.decisions_before,
-            missed_before: anchors.missed_before,
-            cp_before: anchors.cp_before,
+            anchors,
             runtime_bytes: bytes,
         };
         let snapshots =
@@ -551,9 +550,7 @@ pub struct MaestroSnapshot {
     name: String,
     t_ns: u64,
     region: Region,
-    decisions_before: u64,
-    missed_before: u64,
-    cp_before: ControlPlaneStats,
+    anchors: RunAnchors,
     runtime_bytes: Vec<u8>,
 }
 
@@ -576,9 +573,9 @@ impl MaestroSnapshot {
         w.str(&self.name);
         w.u64(self.t_ns);
         self.region.snap_state(&mut w);
-        w.u64(self.decisions_before);
-        w.u64(self.missed_before);
-        let cp = self.cp_before;
+        w.u64(self.anchors.decisions_before);
+        w.u64(self.anchors.missed_before);
+        let cp = self.anchors.cp_before;
         w.u64(cp.daemon_kills);
         w.u64(cp.daemon_restarts);
         w.u64(cp.wedge_kills);
@@ -597,28 +594,22 @@ impl MaestroSnapshot {
         let name = r.str()?;
         let t_ns = r.u64()?;
         let region = Region::restore_state(&mut r)?;
-        let decisions_before = r.u64()?;
-        let missed_before = r.u64()?;
-        let cp_before = ControlPlaneStats {
-            daemon_kills: r.u64()?,
-            daemon_restarts: r.u64()?,
-            wedge_kills: r.u64()?,
-            daemon_gave_up: r.bool()?,
-            blackboard_epoch: r.u64()?,
-            checkpoint_restores: r.u64()?,
-            safe_mode_periods: r.u64()?,
+        let anchors = RunAnchors {
+            decisions_before: r.u64()?,
+            missed_before: r.u64()?,
+            cp_before: ControlPlaneStats {
+                daemon_kills: r.u64()?,
+                daemon_restarts: r.u64()?,
+                wedge_kills: r.u64()?,
+                daemon_gave_up: r.bool()?,
+                blackboard_epoch: r.u64()?,
+                checkpoint_restores: r.u64()?,
+                safe_mode_periods: r.u64()?,
+            },
         };
         let runtime_bytes = r.blob()?.to_vec();
         r.finish()?;
-        Ok(MaestroSnapshot {
-            name,
-            t_ns,
-            region,
-            decisions_before,
-            missed_before,
-            cp_before,
-            runtime_bytes,
-        })
+        Ok(MaestroSnapshot { name, t_ns, region, anchors, runtime_bytes })
     }
 }
 

@@ -198,11 +198,6 @@ impl SnapWriter {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
-
-    /// Bytes written so far.
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 /// Sequential snapshot decoder over a byte slice.

@@ -23,6 +23,10 @@ use crate::blackboard::{Blackboard, HealthFlags, SocketSnapshot};
 use crate::history::SampleHistory;
 use crate::DEFAULT_SAMPLE_PERIOD_NS;
 
+/// A socket is flagged [`HealthFlags::STUCK`] once its energy counter has
+/// been flat for this many consecutive published samples.
+const STUCK_PERIODS: u32 = 2;
+
 /// Why a daemon tick published nothing.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum DropReason {
@@ -94,7 +98,6 @@ pub struct RcrDaemon {
     samples_taken: u64,
     history: Option<SampleHistory>,
     retry: RetryPolicy,
-    stuck_threshold: u32,
     faults: Option<FaultPlan>,
     health: DaemonHealth,
 }
@@ -120,7 +123,6 @@ impl RcrDaemon {
             samples_taken: 0,
             history: None,
             retry: RetryPolicy::default(),
-            stuck_threshold: 2,
             faults: None,
             health: DaemonHealth::default(),
         }
@@ -136,14 +138,6 @@ impl RcrDaemon {
     /// Override the probe retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Flag a socket [`HealthFlags::STUCK`] once its energy counter has been
-    /// flat for `periods` consecutive published samples (default 2).
-    pub fn with_stuck_threshold(mut self, periods: u32) -> Self {
-        assert!(periods >= 1, "stuck threshold must be at least one period");
-        self.stuck_threshold = periods;
         self
     }
 
@@ -346,7 +340,7 @@ impl RcrDaemon {
                 flags = flags.with(HealthFlags::OUTLIER);
                 any_outlier = true;
             }
-            if self.windows[idx].flat_run() >= self.stuck_threshold {
+            if self.windows[idx].flat_run() >= STUCK_PERIODS {
                 flags = flags.with(HealthFlags::STUCK);
                 any_stuck = true;
             }

@@ -160,11 +160,6 @@ impl LeaseSlot {
         self.last_epoch
     }
 
-    /// Whether an unexpired-at-last-check lease is currently held.
-    pub fn holds_lease(&self) -> bool {
-        self.lease.is_some()
-    }
-
     /// Serialize the slot into `w`.
     pub fn snap_state(&self, w: &mut SnapWriter) {
         w.f64(self.floor_w);

@@ -42,7 +42,7 @@
 //! Every task `step` runs under panic isolation: a panicking task body is
 //! contained at the dispatch boundary, converted into a typed
 //! [`TaskFailure`] with a task-path backtrace, and surfaced as
-//! [`RuntimeError::TaskFailed`](scheduler::RuntimeError::TaskFailed) after
+//! [`RuntimeError::TaskFailed`] after
 //! the graph drains. Region-scoped [`CancelToken`]s stop a subtree (or the
 //! whole run) at the next yield point, and a wall-clock deadline or step
 //! budget in [`RuntimeParams`] bounds wedged or livelocked workloads. All

@@ -122,11 +122,6 @@ impl PowerTrace {
     pub fn samples(&self) -> &[(u64, f64)] {
         &self.samples
     }
-
-    /// Consume the trace.
-    pub fn into_samples(self) -> Vec<(u64, f64)> {
-        self.samples
-    }
 }
 
 impl Monitor for PowerTrace {

@@ -348,26 +348,71 @@ impl CapturedRun {
     }
 }
 
-/// Live fence/capture bookkeeping for one captured run.
+/// Live fence/capture bookkeeping for one run; a plain run's plan is empty.
 struct CaptureCtl {
-    /// Config fingerprint stamped into every snapshot header.
-    fingerprint: u64,
-    cadence_ns: Option<u64>,
+    /// Config fingerprint stamped into every snapshot header, computed at
+    /// the first capture (a run that never captures never formats it).
+    fingerprint: Option<u64>,
+    cadence_ns: u64,
     /// Absolute time of the next cadence capture (`u64::MAX` when disabled).
     next_cadence_abs: u64,
-    suspend_at_abs: Option<u64>,
+    /// Absolute suspension fence (`u64::MAX` when the run never suspends).
+    suspend_at_abs: u64,
     /// Absolute capture-free fences, sorted ascending.
     extra_fences: VecDeque<u64>,
+    /// Earliest of the fences above (`u64::MAX` when none is pending): the
+    /// event loop's one per-iteration fence comparison.
+    next_fence_abs: u64,
     snapshots: Vec<RunCapture>,
-    suspended: Option<RunCapture>,
-    /// First serialization failure; surfaced after teardown.
-    error: Option<SnapError>,
+}
+
+impl CaptureCtl {
+    /// Fences of `plan`, whose times are relative to the (possibly
+    /// restored) run `start`, made absolute. Fences already behind the
+    /// clock are dropped, so a resumed run picks up the cadence exactly
+    /// where the suspended run left it.
+    fn new(plan: &SnapshotPlan, start: u64, now: u64) -> Self {
+        let cadence_ns = plan.cadence_ns.filter(|&c| c > 0).unwrap_or(u64::MAX);
+        let next_cadence_abs = if cadence_ns == u64::MAX {
+            u64::MAX
+        } else {
+            // First cadence multiple strictly ahead of the clock.
+            let k = now.saturating_sub(start) / cadence_ns + 1;
+            start.saturating_add(k.saturating_mul(cadence_ns))
+        };
+        let mut extra: Vec<u64> = plan
+            .extra_fences_ns
+            .iter()
+            .map(|&t| start.saturating_add(t))
+            .filter(|&t| t > now)
+            .collect();
+        extra.sort_unstable();
+        extra.dedup();
+        let mut ctl = CaptureCtl {
+            fingerprint: None,
+            cadence_ns,
+            next_cadence_abs,
+            suspend_at_abs: plan.suspend_at_ns.map_or(u64::MAX, |t| start.saturating_add(t)),
+            extra_fences: extra.into(),
+            next_fence_abs: u64::MAX,
+            snapshots: Vec::new(),
+        };
+        ctl.refresh_next_fence();
+        ctl
+    }
+
+    fn refresh_next_fence(&mut self) {
+        let extra = self.extra_fences.front().copied().unwrap_or(u64::MAX);
+        self.next_fence_abs = self.next_cadence_abs.min(self.suspend_at_abs).min(extra);
+    }
 }
 
 /// How the scheduler loop ended (before teardown).
 enum LoopEnd {
     Finished(TaskValue),
-    Suspended,
+    /// Stopped at a fence: parked at the suspension point with its capture,
+    /// or halted because a capture failed to serialize.
+    Parked(Result<RunCapture, SnapError>),
 }
 
 struct TaskRecord<C> {
@@ -472,8 +517,10 @@ struct LiveRequest {
 
 /// Scheduler-side state of a service run: the request source plus the
 /// injected-request bookkeeping the event loop consults.
-struct ServiceCtl {
+struct ServiceCtl<C> {
     source: Box<dyn RequestSource>,
+    /// Builds each injected request's task tree.
+    spawn: SpecCtor<C>,
     /// Live requests by id (BTreeMap: snapshot iteration must be ordered).
     live: BTreeMap<u64, LiveRequest>,
     /// Request-root task → request id, for completion interception.
@@ -484,10 +531,11 @@ struct ServiceCtl {
     next_shep: usize,
 }
 
-impl ServiceCtl {
+impl<C: 'static> ServiceCtl<C> {
     fn new(source: Box<dyn RequestSource>) -> Self {
         ServiceCtl {
             source,
+            spawn: spec_task::<C>,
             live: BTreeMap::new(),
             task_req: BTreeMap::new(),
             deadlines: BTreeSet::new(),
@@ -603,51 +651,6 @@ impl Runtime {
         fingerprint(desc.as_bytes())
     }
 
-    /// Serialize the runtime's between-runs state: machine, actuator, task
-    /// fault cursor, throttle flag, and every monitor. This is the warm-state
-    /// snapshot for fork-style sweeps — capture once after warm-up, restore
-    /// into N runtimes whose configs differ only in policy knobs, and run a
-    /// variant in each. For capturing *mid-run* state use
-    /// [`Runtime::run_captured`].
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.header(self.config_fingerprint());
-        self.machine.snap_state(&mut w);
-        self.actuator.snap_state(&mut w);
-        FaultPlan::snap_opt(&mut w, self.task_faults.as_ref());
-        w.bool(self.throttle.active);
-        w.len(self.monitors.len());
-        for m in &self.monitors {
-            let mut mw = SnapWriter::new();
-            m.snap_state(&mut mw);
-            w.blob(&mw.finish());
-        }
-        w.finish()
-    }
-
-    /// Restore state captured by [`Runtime::snapshot`] into this runtime.
-    /// The static configuration must match the captured one (fingerprint
-    /// check); monitors are restored in registration order.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(bytes);
-        r.header(self.config_fingerprint())?;
-        self.machine.restore_state(&mut r)?;
-        self.actuator.restore_state(&mut r)?;
-        FaultPlan::restore_opt(&mut r, self.task_faults.as_ref())?;
-        self.throttle.active = r.bool()?;
-        let n = r.len()?;
-        if n != self.monitors.len() {
-            return Err(SnapError::Corrupt("monitor count mismatch"));
-        }
-        for m in &mut self.monitors {
-            let section = r.blob()?;
-            let mut sub = SnapReader::new(section);
-            m.restore_state(&self.machine, &mut sub)?;
-            sub.finish()?;
-        }
-        r.finish()
-    }
-
     /// Like [`Runtime::run`], but under a [`SnapshotPlan`]: the run captures
     /// whole-run snapshots at the plan's cadence, suspends at its suspension
     /// fence, and clamps the clock at every fence so a fence-matched pair of
@@ -660,9 +663,7 @@ impl Runtime {
         root: BoxTask<C>,
         plan: &SnapshotPlan,
     ) -> Result<CapturedRun, SnapError> {
-        let mut exec = Exec::new(self, CancelToken::new());
-        exec.arm_capture(plan);
-        exec.run_to_capture(app, Some(root))
+        self.drive(app, Start::Root(root), None, CancelToken::new(), plan)
     }
 
     /// Resume a run suspended by [`Runtime::run_captured`] from its capture
@@ -676,10 +677,7 @@ impl Runtime {
         bytes: &[u8],
         plan: &SnapshotPlan,
     ) -> Result<CapturedRun, SnapError> {
-        let mut exec = Exec::new(self, CancelToken::new());
-        exec.restore_exec(bytes)?;
-        exec.arm_capture(plan);
-        exec.run_to_capture(app, None)
+        self.drive(app, Start::Resume(bytes, spec_task::<C>), None, CancelToken::new(), plan)
     }
 
     /// Execute `root` against `app` until it completes. Fails with
@@ -703,7 +701,8 @@ impl Runtime {
         root: BoxTask<C>,
         cancel: CancelToken,
     ) -> Result<RunOutcome, RuntimeError> {
-        Exec::new(self, cancel).run(app, root)
+        let run = self.drive(app, Start::Root(root), None, cancel, &SnapshotPlan::none());
+        self.plain(run)
     }
 
     /// Execute an open-loop *service* run: there is no root task — `source`
@@ -718,10 +717,9 @@ impl Runtime {
         app: &mut C,
         source: Box<dyn RequestSource>,
     ) -> Result<RunOutcome, RuntimeError> {
-        let mut exec = Exec::new(self, CancelToken::new());
-        exec.service = Some(ServiceCtl::new(source));
-        exec.spawn_spec = Some(spawn_spec_task::<C>);
-        exec.run_service(app)
+        let service = Some(ServiceCtl::new(source));
+        let run = self.drive(app, Start::Empty, service, CancelToken::new(), &SnapshotPlan::none());
+        self.plain(run)
     }
 
     /// Like [`Runtime::run_service`], but under a [`SnapshotPlan`] — the
@@ -734,11 +732,7 @@ impl Runtime {
         source: Box<dyn RequestSource>,
         plan: &SnapshotPlan,
     ) -> Result<CapturedRun, SnapError> {
-        let mut exec = Exec::new(self, CancelToken::new());
-        exec.service = Some(ServiceCtl::new(source));
-        exec.spawn_spec = Some(spawn_spec_task::<C>);
-        exec.arm_capture(plan);
-        exec.run_to_capture(app, None)
+        self.drive(app, Start::Empty, Some(ServiceCtl::new(source)), CancelToken::new(), plan)
     }
 
     /// Resume a suspended service run. `source` must be a freshly built
@@ -752,20 +746,62 @@ impl Runtime {
         bytes: &[u8],
         plan: &SnapshotPlan,
     ) -> Result<CapturedRun, SnapError> {
-        let mut exec = Exec::new(self, CancelToken::new());
-        exec.service = Some(ServiceCtl::new(source));
-        exec.spawn_spec = Some(spawn_spec_task::<C>);
-        exec.restore_exec(bytes)?;
-        exec.arm_capture(plan);
-        exec.run_to_capture(app, None)
+        let start = Start::Resume(bytes, spec_task::<C>);
+        self.drive(app, start, Some(ServiceCtl::new(source)), CancelToken::new(), plan)
+    }
+
+    /// The one run driver behind every entry point: seed or restore the
+    /// task graph, arm `plan` (empty for a plain run), and run the event
+    /// loop to completion, suspension, or failure.
+    fn drive<C>(
+        &mut self,
+        app: &mut C,
+        start: Start<'_, C>,
+        service: Option<ServiceCtl<C>>,
+        cancel: CancelToken,
+        plan: &SnapshotPlan,
+    ) -> Result<CapturedRun, SnapError> {
+        let mut exec = Exec::new(self, cancel);
+        exec.service = service;
+        match start {
+            Start::Root(root) => exec.seed_root(root),
+            Start::Empty => {}
+            Start::Resume(bytes, spec) => exec.restore_exec(bytes, spec)?,
+        }
+        exec.capture = CaptureCtl::new(plan, exec.run_start_ns, exec.rt.machine.now_ns());
+        exec.finish(app)
+    }
+
+    /// A plain run's result. Under an empty plan the driver never suspends
+    /// and never serializes, so only completion and failure come back.
+    fn plain(&self, run: Result<CapturedRun, SnapError>) -> Result<RunOutcome, RuntimeError> {
+        match run.map(|r| r.end) {
+            Ok(RunEnd::Completed(outcome)) => Ok(outcome),
+            Ok(RunEnd::Failed(e)) => Err(e),
+            Ok(RunEnd::Suspended(_)) | Err(_) => {
+                Err(internal("run without snapshots suspended or captured", self.machine.now_ns()))
+            }
+        }
     }
 }
 
-/// Monomorphized spec-task constructor stored in `Exec::spawn_spec`, so the
-/// (unbounded) event loop can inject request trees for any `C` the service
-/// entry points were instantiated with.
-fn spawn_spec_task<C: 'static>(spec: TaskSpec) -> BoxTask<C> {
-    spec.into_task()
+/// Where a run starts.
+enum Start<'b, C> {
+    /// A fresh batch run, seeded with its root task.
+    Root(BoxTask<C>),
+    /// A fresh service run: the request source injects every task.
+    Empty,
+    /// A suspended run, rebuilt from its capture bytes.
+    Resume(&'b [u8], SpecCtor<C>),
+}
+
+/// Builds a spec-interpreter task parked at a phase. Service injection and
+/// snapshot restore get one monomorphized where `C: 'static` is known, so
+/// the driver and event loop carry no such bound.
+type SpecCtor<C> = fn(TaskSpec, u8) -> BoxTask<C>;
+
+fn spec_task<C: 'static>(spec: TaskSpec, phase: u8) -> BoxTask<C> {
+    Box::new(SpecTask::resume(spec, phase))
 }
 
 /// Core a worker is pinned to under the configured placement policy.
@@ -861,14 +897,10 @@ struct Exec<'r, C> {
     run_start_ns: u64,
     /// Node energy at run start, Joules (restored on resume).
     run_start_j: f64,
-    /// Snapshot fences and captures; `None` for plain (uncaptured) runs.
-    capture: Option<CaptureCtl>,
+    /// Snapshot fences and captures (no fences for a plain run).
+    capture: CaptureCtl,
     /// Service-run state; `None` for batch (rooted) runs.
-    service: Option<ServiceCtl>,
-    /// Spec-task constructor, monomorphized where `C: 'static` is known
-    /// (the service entry points) so the unbounded event loop can inject
-    /// request trees without carrying the bound itself.
-    spawn_spec: Option<fn(TaskSpec) -> BoxTask<C>>,
+    service: Option<ServiceCtl<C>>,
     /// Injection scratch buffer handed to `RequestSource::poll`.
     injection_scratch: Vec<ServiceInjection>,
     torn_down: bool,
@@ -940,9 +972,8 @@ impl<'r, C> Exec<'r, C> {
             start_actuation,
             run_start_ns,
             run_start_j,
-            capture: None,
+            capture: CaptureCtl::new(&SnapshotPlan::none(), run_start_ns, run_start_ns),
             service: None,
-            spawn_spec: None,
             injection_scratch: Vec::new(),
             torn_down: false,
         }
@@ -1033,55 +1064,8 @@ impl<'r, C> Exec<'r, C> {
         old
     }
 
-    /// Drive a rootless service run to completion (the plain, uncaptured
-    /// variant of a service run — `service` and `spawn_spec` are installed
-    /// by the caller).
-    fn run_service(mut self, app: &mut C) -> Result<RunOutcome, RuntimeError> {
-        let result = self.loop_body(app);
-        self.finalize_service(result.is_err());
-        self.teardown();
-
-        let now = self.rt.machine.now_ns();
-        let elapsed_s = (now - self.run_start_ns) as f64 * 1e-9;
-        let joules = self.rt.machine.total_energy_joules() - self.run_start_j;
-        match result {
-            Ok(LoopEnd::Finished(value)) => Ok(RunOutcome {
-                value,
-                elapsed_s,
-                joules,
-                avg_watts: if elapsed_s > 0.0 { joules / elapsed_s } else { 0.0 },
-                stats: self.stats,
-            }),
-            Ok(LoopEnd::Suspended) => {
-                Err(internal("suspension without a capture plan", now).with_partial(self.stats))
-            }
-            Err(e) => Err(e.with_partial(self.stats)),
-        }
-    }
-
-    fn run(mut self, app: &mut C, root: BoxTask<C>) -> Result<RunOutcome, RuntimeError> {
-        let result = self.run_loop(app, root);
-        self.teardown();
-
-        let now = self.rt.machine.now_ns();
-        let elapsed_s = (now - self.run_start_ns) as f64 * 1e-9;
-        let joules = self.rt.machine.total_energy_joules() - self.run_start_j;
-        match result {
-            Ok(LoopEnd::Finished(value)) => Ok(RunOutcome {
-                value,
-                elapsed_s,
-                joules,
-                avg_watts: if elapsed_s > 0.0 { joules / elapsed_s } else { 0.0 },
-                stats: self.stats,
-            }),
-            Ok(LoopEnd::Suspended) => {
-                Err(internal("suspension without a capture plan", now).with_partial(self.stats))
-            }
-            Err(e) => Err(e.with_partial(self.stats)),
-        }
-    }
-
-    fn run_loop(&mut self, app: &mut C, root: BoxTask<C>) -> Result<LoopEnd, RuntimeError> {
+    /// Queue a fresh batch run's root task on worker 0's shepherd.
+    fn seed_root(&mut self, root: BoxTask<C>) {
         let root_shep = self.shepherd_of(0);
         let root_token = self.run_cancel.child();
         let root_id = self.alloc_task(TaskRecord {
@@ -1096,18 +1080,20 @@ impl<'r, C> Exec<'r, C> {
         });
         self.shepherds[root_shep].queue.push_back(root_id);
         self.queued_total += 1;
-        self.loop_body(app)
     }
 
-    /// The scheduler event loop, entered after the task graph exists —
-    /// directly by a resumed run (whose graph comes from the snapshot).
+    /// The scheduler event loop, entered once the task graph exists (seeded
+    /// with a root, restored from a snapshot, or empty for a service run).
     fn loop_body(&mut self, app: &mut C) -> Result<LoopEnd, RuntimeError> {
         while self.root_value.is_none() {
-            if self.capture_fences_due() {
-                // Suspension fence reached (or a capture failed): park here,
-                // *before* limits and monitors — the resumed run re-enters
-                // the loop at exactly this point with identical state.
-                return Ok(LoopEnd::Suspended);
+            if self.rt.machine.now_ns() >= self.capture.next_fence_abs {
+                if let Some(parked) = self.capture_fences_due() {
+                    // Suspension fence reached (or a capture failed): park
+                    // here, *before* limits and monitors — the resumed run
+                    // re-enters the loop at exactly this point with
+                    // identical state.
+                    return Ok(LoopEnd::Parked(parked));
+                }
             }
             self.check_limits()?;
             self.fire_due_monitors();
@@ -1270,7 +1256,7 @@ impl<'r, C> Exec<'r, C> {
     }
 
     /// Bump the wake epoch so every spinner re-evaluates — unless an
-    /// injected lost-wake fault swallows the event (the run_loop's forced
+    /// injected lost-wake fault swallows the event (the event loop's forced
     /// recovery and spinner polling then cover for it).
     fn wake_spinners(&mut self) {
         if let Some(plan) = &self.rt.task_faults {
@@ -1359,26 +1345,21 @@ impl<'r, C> Exec<'r, C> {
 
         // Arrivals and retries (never while draining: a dying run admits
         // nothing new).
-        let due = !self.draining
-            && self
-                .service
-                .as_ref()
-                .and_then(|s| s.source.next_due_ns())
-                .is_some_and(|d| d <= now);
-        if due {
+        let draining = self.draining;
+        let due = self
+            .service
+            .as_mut()
+            .filter(|s| !draining && s.source.next_due_ns().is_some_and(|d| d <= now));
+        if let Some(svc) = due {
             let mut out = std::mem::take(&mut self.injection_scratch);
             out.clear();
-            if let Some(svc) = self.service.as_mut() {
-                svc.source.poll(now, &mut out);
-            }
-            let spawn = self
-                .spawn_spec
-                .ok_or_else(|| internal("service run without a spec spawner", now))?;
+            svc.source.poll(now, &mut out);
+            let spawn = svc.spawn;
             for inj in out.drain(..) {
                 let shep = self.service.as_ref().map_or(0, |s| s.next_shep);
                 let token = self.run_cancel.child();
                 let id = self.alloc_task(TaskRecord {
-                    logic: Some(spawn(inj.spec)),
+                    logic: Some(spawn(inj.spec, 0)),
                     parent: None,
                     home_shepherd: shep,
                     pending_children: 0,
@@ -2159,10 +2140,7 @@ impl<'r, C> Exec<'r, C> {
         }
         // Snapshot fences clamp the same way: the clock must land exactly on
         // every fence so a fence-matched pair of runs advances identically.
-        if let Some(fence) = self.next_fence_abs() {
-            dt_ns = dt_ns.min(fence.saturating_sub(now));
-        }
-        Some(dt_ns)
+        Some(dt_ns.min(self.capture.next_fence_abs.saturating_sub(now)))
     }
 
     /// Retire every segment whose completion time the clock has reached and
@@ -2245,69 +2223,11 @@ impl<'r, C> Exec<'r, C> {
     // Whole-run capture
     // ------------------------------------------------------------------
 
-    /// Install the fence/capture plan for this run. Times in `plan` are
-    /// relative to the (possibly restored) run start; fences already behind
-    /// the clock are dropped, so a resumed run picks up the cadence exactly
-    /// where the suspended run left it.
-    fn arm_capture(&mut self, plan: &SnapshotPlan) {
-        let fp = self.rt.config_fingerprint();
-        let start = self.run_start_ns;
-        let now = self.rt.machine.now_ns();
-        let cadence = plan.cadence_ns.filter(|&c| c > 0);
-        let next_cadence_abs = match cadence {
-            Some(c) => {
-                // First cadence multiple strictly ahead of the clock.
-                let k = now.saturating_sub(start) / c + 1;
-                start.saturating_add(k.saturating_mul(c))
-            }
-            None => u64::MAX,
-        };
-        let suspend_at_abs = plan.suspend_at_ns.map(|t| start.saturating_add(t));
-        let mut extra: Vec<u64> = plan
-            .extra_fences_ns
-            .iter()
-            .map(|&t| start.saturating_add(t))
-            .filter(|&t| t > now)
-            .collect();
-        extra.sort_unstable();
-        extra.dedup();
-        self.capture = Some(CaptureCtl {
-            fingerprint: fp,
-            cadence_ns: cadence,
-            next_cadence_abs,
-            suspend_at_abs,
-            extra_fences: extra.into(),
-            snapshots: Vec::new(),
-            suspended: None,
-            error: None,
-        });
-    }
-
-    /// The earliest pending fence strictly ahead of the clock, if any.
-    fn next_fence_abs(&self) -> Option<u64> {
-        let ctl = self.capture.as_ref()?;
-        let mut next: Option<u64> = None;
-        for cand in [
-            ctl.cadence_ns.map(|_| ctl.next_cadence_abs),
-            ctl.suspend_at_abs,
-            ctl.extra_fences.front().copied(),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            next = Some(next.map_or(cand, |n| n.min(cand)));
-        }
-        next
-    }
-
-    /// Process fences the clock has reached: drop passed advance-only
+    /// Process the fences the clock has reached: drop passed advance-only
     /// fences, take due cadence snapshots, and detect the suspension point.
-    /// Returns true when the loop must stop (suspension, or a failed
-    /// serialization whose error is parked in the control block).
-    fn capture_fences_due(&mut self) -> bool {
-        if self.capture.is_none() {
-            return false;
-        }
+    /// Returns `Some` when the loop must stop: the suspension capture, or
+    /// the error of a capture that failed to serialize.
+    fn capture_fences_due(&mut self) -> Option<Result<RunCapture, SnapError>> {
         let now = self.rt.machine.now_ns();
         // Every fence — capture-free extra fence, cadence capture, or
         // suspension — is a full integration barrier: the machine folds all
@@ -2315,99 +2235,64 @@ impl<'r, C> Exec<'r, C> {
         // would fold implicitly inside `snap_state`; doing it for *every*
         // fence keeps the sync schedule (and therefore the float bits) of a
         // fence-matched unbroken run identical to a suspended/resumed one.
-        let any_fence_due = self.capture.as_ref().is_some_and(|ctl| {
-            ctl.extra_fences.front().is_some_and(|&f| f <= now)
-                || (ctl.cadence_ns.is_some() && ctl.next_cadence_abs <= now)
-                || ctl.suspend_at_abs.is_some_and(|t| t <= now)
-        });
-        if any_fence_due {
-            self.rt.machine.sync_all();
-            // Same discipline for the scheduler's lazy state: reconcile
-            // rates first (the previous iteration's completions may have
-            // moved φ and no reconciliation has run since), then fold every
-            // running segment to the fence and re-derive its completion
-            // time. The serialized remaining-work values — and the fold
-            // schedule itself — thereby match between a fence-matched
-            // unbroken run and a suspended/resumed one, which re-rates all
-            // segments at the restore point with exactly these inputs.
-            self.reconcile_rates();
-            let now_f = self.rt.machine.now_ns();
-            let dilation = self.work_dilation();
-            for w in 0..self.workers.len() {
-                if matches!(self.workers[w], WorkerState::Running(_)) {
-                    self.rate_segment(w, now_f, dilation);
-                }
+        self.rt.machine.sync_all();
+        // Same discipline for the scheduler's lazy state: reconcile rates
+        // first (the previous iteration's completions may have moved φ and
+        // no reconciliation has run since), then fold every running segment
+        // to the fence and re-derive its completion time. The serialized
+        // remaining-work values — and the fold schedule itself — thereby
+        // match between a fence-matched unbroken run and a suspended/resumed
+        // one, which re-rates all segments at the restore point with exactly
+        // these inputs.
+        self.reconcile_rates();
+        let dilation = self.work_dilation();
+        for w in 0..self.workers.len() {
+            if matches!(self.workers[w], WorkerState::Running(_)) {
+                self.rate_segment(w, now, dilation);
             }
         }
-        if let Some(ctl) = self.capture.as_mut() {
-            while ctl.extra_fences.front().is_some_and(|&f| f <= now) {
-                ctl.extra_fences.pop_front();
-            }
+        while self.capture.extra_fences.front().is_some_and(|&f| f <= now) {
+            self.capture.extra_fences.pop_front();
         }
-        loop {
-            let due = self.capture.as_ref().is_some_and(|c| c.next_cadence_abs <= now);
-            if !due {
-                break;
-            }
-            let snap = self.snapshot_bytes();
-            let Some(ctl) = self.capture.as_mut() else { return false };
-            match snap {
+        while self.capture.next_cadence_abs <= now {
+            match self.capture_now() {
                 Ok(bytes) => {
-                    ctl.snapshots.push(RunCapture { t_ns: now, bytes });
-                    let c = ctl.cadence_ns.unwrap_or(u64::MAX);
-                    ctl.next_cadence_abs = ctl.next_cadence_abs.saturating_add(c);
+                    self.capture.snapshots.push(RunCapture { t_ns: now, bytes });
+                    self.capture.next_cadence_abs =
+                        self.capture.next_cadence_abs.saturating_add(self.capture.cadence_ns);
                 }
-                Err(e) => {
-                    ctl.error = Some(e);
-                    return true;
-                }
+                Err(e) => return Some(Err(e)),
             }
         }
-        let suspend_due =
-            self.capture.as_ref().and_then(|c| c.suspend_at_abs).is_some_and(|t| t <= now);
-        if suspend_due {
-            let snap = self.snapshot_bytes();
-            if let Some(ctl) = self.capture.as_mut() {
-                match snap {
-                    Ok(bytes) => ctl.suspended = Some(RunCapture { t_ns: now, bytes }),
-                    Err(e) => ctl.error = Some(e),
-                }
-            }
-            return true;
+        if self.capture.suspend_at_abs <= now {
+            return Some(self.capture_now().map(|bytes| RunCapture { t_ns: now, bytes }));
         }
-        false
+        self.capture.refresh_next_fence();
+        None
     }
 
-    /// Drive a captured run to its end (the fresh-start path passes `root`;
-    /// the resume path restores the graph first and passes `None`).
-    fn run_to_capture(
-        mut self,
-        app: &mut C,
-        root: Option<BoxTask<C>>,
-    ) -> Result<CapturedRun, SnapError> {
-        let result = match root {
-            Some(root) => self.run_loop(app, root),
-            None => self.loop_body(app),
-        };
+    /// Serialize the run state now, stamped with the config fingerprint
+    /// (computed on the first capture).
+    fn capture_now(&mut self) -> Result<Vec<u8>, SnapError> {
+        let fp = *self.capture.fingerprint.get_or_insert_with(|| self.rt.config_fingerprint());
+        self.snapshot_bytes(fp)
+    }
+
+    /// Run the event loop to its end, tear down, and report: the one
+    /// finisher every run goes through.
+    fn finish(mut self, app: &mut C) -> Result<CapturedRun, SnapError> {
+        let result = self.loop_body(app);
         // Terminal service accounting — but never on suspension: a
         // suspended run is still alive in its snapshot.
         match &result {
             Ok(LoopEnd::Finished(_)) => self.finalize_service(false),
-            Ok(LoopEnd::Suspended) => {}
+            Ok(LoopEnd::Parked(_)) => {}
             Err(_) => self.finalize_service(true),
         }
         self.teardown();
 
-        let now = self.rt.machine.now_ns();
-        let elapsed_s = (now - self.run_start_ns) as f64 * 1e-9;
+        let elapsed_s = (self.rt.machine.now_ns() - self.run_start_ns) as f64 * 1e-9;
         let joules = self.rt.machine.total_energy_joules() - self.run_start_j;
-        let mut ctl = self
-            .capture
-            .take()
-            .ok_or(SnapError::Corrupt("captured run without a capture plan"))?;
-        if let Some(e) = ctl.error.take() {
-            return Err(e);
-        }
         let end = match result {
             Ok(LoopEnd::Finished(value)) => RunEnd::Completed(RunOutcome {
                 value,
@@ -2416,13 +2301,10 @@ impl<'r, C> Exec<'r, C> {
                 avg_watts: if elapsed_s > 0.0 { joules / elapsed_s } else { 0.0 },
                 stats: self.stats,
             }),
-            Ok(LoopEnd::Suspended) => match ctl.suspended.take() {
-                Some(cap) => RunEnd::Suspended(cap),
-                None => return Err(SnapError::Corrupt("suspended without a capture")),
-            },
+            Ok(LoopEnd::Parked(capture)) => RunEnd::Suspended(capture?),
             Err(e) => RunEnd::Failed(e.with_partial(self.stats)),
         };
-        Ok(CapturedRun { end, snapshots: ctl.snapshots })
+        Ok(CapturedRun { end, snapshots: std::mem::take(&mut self.capture.snapshots) })
     }
 
     /// Serialize the *entire* run state — machine, actuator, fault cursors,
@@ -2430,8 +2312,7 @@ impl<'r, C> Exec<'r, C> {
     /// every monitor — into one versioned snapshot. Fails with a typed error
     /// when the graph holds a task that cannot be captured (closure-based
     /// logic, or an inbox holding opaque values).
-    fn snapshot_bytes(&self) -> Result<Vec<u8>, SnapError> {
-        let fp = self.capture.as_ref().map_or(0, |c| c.fingerprint);
+    fn snapshot_bytes(&self, fp: u64) -> Result<Vec<u8>, SnapError> {
         let mut w = SnapWriter::new();
         w.header(fp);
 
@@ -2595,16 +2476,13 @@ impl<'r, C> Exec<'r, C> {
 
         Ok(w.finish())
     }
-}
 
-/// Restore-side capture machinery. Rebuilding parked tasks instantiates
-/// [`SpecTask`] interpreters, which requires `C: 'static`.
-impl<C: 'static> Exec<'_, C> {
-    /// Rebuild the entire run state from bytes written by `snapshot_bytes`.
-    /// The runtime's static configuration must match the captured one; every
-    /// structural reference (task ids, queue entries, shepherd and worker
+    /// Rebuild the entire run state from bytes written by `snapshot_bytes`,
+    /// with every parked task rebuilt by `spec`. The runtime's static
+    /// configuration must match the captured one; every structural
+    /// reference (task ids, child slots, queue entries, shepherd and worker
     /// counts) is validated before being installed.
-    fn restore_exec(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+    fn restore_exec(&mut self, bytes: &[u8], spec: SpecCtor<C>) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes);
         r.header(self.rt.config_fingerprint())?;
 
@@ -2659,7 +2537,7 @@ impl<C: 'static> Exec<'_, C> {
                 continue;
             }
             live += 1;
-            let spec = crate::spec::TaskSpec::restore_state(&mut r)?;
+            let task_spec = TaskSpec::restore_state(&mut r)?;
             let phase = r.u8()?;
             let parent = if r.bool()? {
                 Some((r.u64()? as usize, r.u64()? as usize))
@@ -2679,15 +2557,15 @@ impl<C: 'static> Exec<'_, C> {
             let n_staged = r.len()?;
             let mut staged: Vec<BoxTask<C>> = Vec::with_capacity(n_staged);
             for _ in 0..n_staged {
-                let cs = crate::spec::TaskSpec::restore_state(&mut r)?;
+                let cs = TaskSpec::restore_state(&mut r)?;
                 let cp = r.u8()?;
-                staged.push(Box::new(SpecTask::resume(cs, cp)));
+                staged.push(spec(cs, cp));
             }
             *flag_slot = r.bool()?;
             let mut inbox: Vec<TaskValue> = Vec::new();
             inbox.resize_with(inbox_len, TaskValue::none);
             tasks.push(Some(TaskRecord {
-                logic: Some(Box::new(SpecTask::resume(spec, phase))),
+                logic: Some(spec(task_spec, phase)),
                 parent,
                 home_shepherd,
                 pending_children,
@@ -2705,17 +2583,39 @@ impl<C: 'static> Exec<'_, C> {
         // is a parentless tree, and between requests it may be empty), with
         // each root deriving directly from the run token in ascending id
         // order.
+        //
+        // A child completes into `inbox[slot]` of its parent and decrements
+        // the parent's `pending_children`, so each child's slot must lie
+        // inside the parent's inbox, no two children may share a slot, and
+        // a parent must wait on at least as many children as are live.
         let mut children_of: Vec<Vec<TaskId>> = vec![Vec::new(); tasks.len()];
         let mut roots: Vec<TaskId> = Vec::new();
-        for (id, slot) in tasks.iter().enumerate() {
-            let Some(rec) = slot else { continue };
+        // Every inbox slot, flattened: task `p`'s slots start at `slot_base[p]`.
+        let mut slot_base: Vec<usize> = Vec::with_capacity(tasks.len());
+        let mut n_inbox_slots = 0;
+        for rec in &tasks {
+            slot_base.push(n_inbox_slots);
+            n_inbox_slots += rec.as_ref().map_or(0, |rec| rec.inbox.len());
+        }
+        let mut claimed = vec![false; n_inbox_slots];
+        for (id, rec) in tasks.iter().enumerate() {
+            let Some(rec) = rec else { continue };
             match rec.parent {
                 None => roots.push(id),
-                Some((p, _)) => {
-                    if p >= tasks.len() || tasks[p].is_none() {
+                Some((p, slot)) => {
+                    let Some(parent) = tasks.get(p).and_then(Option::as_ref) else {
                         return Err(SnapError::Corrupt("task parent is not live"));
+                    };
+                    if slot >= parent.inbox.len() {
+                        return Err(SnapError::Corrupt("child slot outside its parent's inbox"));
+                    }
+                    if std::mem::replace(&mut claimed[slot_base[p] + slot], true) {
+                        return Err(SnapError::Corrupt("two children claim one inbox slot"));
                     }
                     children_of[p].push(id);
+                    if children_of[p].len() > parent.pending_children {
+                        return Err(SnapError::Corrupt("parent waits on fewer children than are live"));
+                    }
                 }
             }
         }
@@ -3026,7 +2926,7 @@ fn restore_totals(r: &mut SnapReader<'_>) -> Result<ActuationTotals, SnapError> 
     })
 }
 
-/// Backstop for the backstop: if an unwind ever crosses `run` (so `teardown`
+/// Backstop for the backstop: if an unwind ever crosses `finish` (so `teardown`
 /// did not get its turn), the destructor still drives every core back to
 /// full duty. Stats are already lost at that point; core state must not be.
 impl<C> Drop for Exec<'_, C> {
@@ -3905,21 +3805,71 @@ mod tests {
     }
 
     #[test]
-    fn runtime_level_snapshot_round_trips() {
-        // The machine-layer Runtime::snapshot/restore pair (no task graph).
-        let mut rt = runtime(4);
-        rt.set_task_faults(Some(FaultPlan::new(9).with_task_panic_at_steps(&[1000])));
-        rt.machine_mut().advance(3_000_000);
-        let bytes = rt.snapshot();
-        let mut rt2 = runtime(4);
-        rt2.set_task_faults(Some(FaultPlan::new(9).with_task_panic_at_steps(&[1000])));
-        rt2.restore(&bytes).unwrap();
-        assert_eq!(rt2.machine().now_ns(), rt.machine().now_ns());
-        assert_eq!(
-            rt2.machine().total_energy_joules().to_bits(),
-            rt.machine().total_energy_joules().to_bits()
-        );
-        assert_eq!(rt2.snapshot(), bytes, "re-snapshot is byte-identical");
+    fn restore_rejects_inconsistent_child_slots_with_a_typed_error() {
+        // Each tamper gets the task table, a parent with live children, and
+        // those children's ids.
+        type Tamper = fn(&mut [Option<TaskRecord<()>>], TaskId, &[TaskId]);
+        let tampers: [(&str, Tamper); 3] = [
+            ("slot out of range", |t, p, kids| {
+                let len = t[p].as_ref().unwrap().inbox.len();
+                t[kids[0]].as_mut().unwrap().parent = Some((p, len));
+            }),
+            ("shared slot", |t, p, kids| {
+                let slot = t[kids[0]].as_ref().unwrap().parent.unwrap().1;
+                t[kids[1]].as_mut().unwrap().parent = Some((p, slot));
+            }),
+            ("too few pending children", |t, p, kids| {
+                t[p].as_mut().unwrap().pending_children = kids.len() - 1;
+            }),
+        ];
+        let plan = SnapshotPlan::suspend_at(2_000_000);
+        let cap = runtime(4).run_captured(&mut (), spec_tree(8, 3).into_task(), &plan);
+        let cap = cap.unwrap().suspended().unwrap();
+        for (what, tamper) in tampers {
+            // Restore the capture, alter it, and re-serialize it through the
+            // real codec.
+            let mut rt = runtime(4);
+            let mut exec = Exec::<()>::new(&mut rt, CancelToken::new());
+            exec.restore_exec(&cap.bytes, spec_task::<()>).unwrap();
+            let parent = exec.tasks.iter().flatten().find_map(|t| t.parent).unwrap().0;
+            let is_kid = |t: &Option<TaskRecord<()>>| {
+                t.as_ref().and_then(|t| t.parent).is_some_and(|(q, _)| q == parent)
+            };
+            let kids: Vec<TaskId> =
+                (0..exec.tasks.len()).filter(|&i| is_kid(&exec.tasks[i])).collect();
+            assert!(kids.len() >= 2, "the parent has two live children");
+            tamper(&mut exec.tasks, parent, &kids);
+            let bytes = exec.snapshot_bytes(exec.rt.config_fingerprint()).unwrap();
+            drop(exec);
+            let err = runtime(4)
+                .resume_captured::<()>(&mut (), &bytes, &SnapshotPlan::none())
+                .expect_err(what);
+            assert!(matches!(err, SnapError::Corrupt(_)), "{what}: got {err:?}");
+        }
+    }
+
+    #[test]
+    fn task_fault_cursor_survives_suspension() {
+        // The seeded lost-wake stream resumes mid-sequence: a resumed run
+        // loses exactly the wakes the fence-matched unbroken run loses.
+        let faulty = || {
+            let mut rt = runtime(8);
+            rt.throttle_mut().active = true;
+            rt.throttle_mut().limit_per_shepherd = 2;
+            rt.set_task_faults(Some(FaultPlan::new(9).with_lost_wake_rate(0.5)));
+            rt
+        };
+        let (spec, suspend_ns) = (spec_tree(24, 5), 9_000_000);
+        let run = |plan: SnapshotPlan| {
+            faulty().run_captured(&mut (), spec.clone().into_task(), &plan).unwrap()
+        };
+        let reference = run(SnapshotPlan::none().with_fence(suspend_ns)).outcome().unwrap();
+        assert!(reference.stats.lost_wakes > 0, "{:?}", reference.stats);
+        let cap = run(SnapshotPlan::suspend_at(suspend_ns)).suspended().unwrap();
+        let resumed = faulty().resume_captured::<()>(&mut (), &cap.bytes, &SnapshotPlan::none());
+        let out = resumed.unwrap().outcome().unwrap();
+        assert_eq!(out.stats, reference.stats);
+        assert_eq!(out.joules.to_bits(), reference.joules.to_bits());
     }
 
     #[test]
