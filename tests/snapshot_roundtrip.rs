@@ -181,3 +181,37 @@ fn one_warm_snapshot_forks_into_deterministic_policy_variants() {
         assert!(a.joules > 0.0 && a.joules.is_finite(), "limit {limit}: {a}");
     }
 }
+
+/// Golden on-disk bytes: the length and FNV-1a fingerprint of two fixed
+/// captures. Every other test here compares snapshots within one build;
+/// this one pins the format (and the config fingerprint stamped into its
+/// header) across builds, so a codec or configuration change that moves a
+/// single byte shows up here before a stored snapshot fails to restore.
+#[test]
+fn snapshot_bytes_are_pinned_across_builds() {
+    use maestro_bench::experiments::service_at_scale;
+    use maestro_bench::scenario::{scenario, service_facade};
+    use maestro_machine::fingerprint;
+    use maestro_workloads::Scale;
+
+    let sc = scenario("contended-adaptive").expect("registered scenario");
+    let kernel = Maestro::new(sc.config)
+        .run_captured(sc.name, &mut (), sc.spec.into_task(), &SnapshotPlan::suspend_at(150 * MS))
+        .expect("capture succeeds")
+        .suspended()
+        .expect("suspends mid-run")
+        .to_bytes();
+
+    let svc = service_at_scale("svc-burst", Scale::Test);
+    let (mut m, source, _) = service_facade(&svc);
+    let service = m
+        .run_service_captured(svc.name, &mut (), source, &SnapshotPlan::suspend_at(8 * MS))
+        .expect("capture succeeds")
+        .suspended()
+        .expect("suspends mid-burst")
+        .to_bytes();
+
+    let pin = |b: &[u8]| (b.len(), fingerprint(b));
+    assert_eq!(pin(&kernel), (136_302, 0xed3c_997d_b2e2_1e00), "contended-adaptive @ 150 ms");
+    assert_eq!(pin(&service), (102_220, 0x2a44_4185_68f7_b5fb), "svc-burst @ 8 ms");
+}
