@@ -16,6 +16,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use maestro_machine::snap::{SnapError, SnapReader, SnapWriter};
 use maestro_machine::{Machine, PState};
 use maestro_rcr::{Level, MeterThresholds, RcrDaemon};
 use maestro_runtime::{Monitor, ThrottleState};
@@ -106,6 +107,45 @@ impl Monitor for DvfsController {
         }
         self.trace.borrow_mut().samples.push((machine.now_ns(), next.index()));
     }
+
+    fn snap_state(&self, w: &mut SnapWriter) {
+        snap_daemon(&self.daemon, w);
+        let trace = self.trace.borrow();
+        w.len(trace.samples.len());
+        for &(t, pstate) in &trace.samples {
+            w.u64(t);
+            w.u64(pstate as u64);
+        }
+        w.u64(trace.transitions as u64);
+    }
+
+    fn restore_state(
+        &mut self,
+        _machine: &Machine,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        restore_daemon(&mut self.daemon, r)?;
+        let n = r.len()?;
+        let mut samples = Vec::with_capacity(n);
+        for _ in 0..n {
+            samples.push((r.u64()?, r.u64()? as usize));
+        }
+        // Write through the shared handle so the report sees the full trace.
+        *self.trace.borrow_mut() = DvfsTrace { samples, transitions: r.u64()? as usize };
+        Ok(())
+    }
+}
+
+/// The RCR daemon's own state plus the blackboard it publishes to (which
+/// the daemon does not serialize: a supervised daemon shares it).
+fn snap_daemon(daemon: &RcrDaemon, w: &mut SnapWriter) {
+    daemon.blackboard().snap_state(w);
+    daemon.snap_state(w);
+}
+
+fn restore_daemon(daemon: &mut RcrDaemon, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    daemon.blackboard().restore_state(r)?;
+    daemon.restore_state(r)
 }
 
 // ---------------------------------------------------------------------
@@ -215,6 +255,44 @@ impl Monitor for PowerCapController {
             node_w,
             throttle.limit_per_shepherd,
         ));
+    }
+
+    fn snap_state(&self, w: &mut SnapWriter) {
+        snap_daemon(&self.daemon, w);
+        let trace = self.trace.borrow();
+        w.len(trace.samples.len());
+        for &(t, watts, limit) in &trace.samples {
+            w.u64(t);
+            w.f64(watts);
+            w.u64(limit as u64);
+        }
+    }
+
+    fn restore_state(
+        &mut self,
+        _machine: &Machine,
+        r: &mut SnapReader<'_>,
+    ) -> Result<(), SnapError> {
+        restore_daemon(&mut self.daemon, r)?;
+        let n = r.len()?;
+        let mut samples = Vec::with_capacity(n);
+        for _ in 0..n {
+            let sample = (r.u64()?, r.f64()?, r.u64()? as usize);
+            if sample.2 == 0 {
+                return Err(SnapError::Corrupt("power-cap limit of zero"));
+            }
+            samples.push(sample);
+        }
+        self.trace.borrow_mut().samples = samples;
+        Ok(())
+    }
+
+    /// The limit this controller last set is policy, not configuration:
+    /// re-impose it so a resumed run continues from where the cap left it.
+    fn restore_throttle(&self, throttle: &mut ThrottleState) {
+        if let Some(&(_, _, limit)) = self.trace.borrow().samples.last() {
+            throttle.limit_per_shepherd = limit;
+        }
     }
 }
 

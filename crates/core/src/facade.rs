@@ -730,57 +730,74 @@ mod tests {
     #[test]
     fn suspend_resume_is_bit_identical_at_facade_level() {
         use maestro_runtime::TaskSpec;
-        // The full adaptive stack: RCR daemon, blackboard, controller,
-        // watchdog, throttled scheduler — suspended mid-run, serialized to
-        // bytes, resumed on a freshly built facade.
+        // Each full control stack — RCR daemon, blackboard, controller (and
+        // for the adaptive policy, the watchdog), throttled scheduler —
+        // suspended mid-run, serialized to bytes, resumed on a freshly
+        // built facade.
         let spec = TaskSpec::fork_join(
             (0..600).map(|_| TaskSpec::leaf(Cost::new(13_000_000, 500_000, 8.0, 0.95))).collect(),
             Cost::ZERO,
         );
-        let suspend_ns = 150_000_000;
-
-        let mut un = Maestro::new(MaestroConfig::adaptive(16));
-        let reference = un
-            .run_captured(
-                "wl",
-                &mut (),
-                spec.clone().into_task(),
-                &SnapshotPlan::none().with_fence(suspend_ns),
+        let mut dvfs = MaestroConfig::adaptive(16);
+        dvfs.policy = Policy::Dvfs { floor: PState::floor_of(1.8) };
+        let mut cap = MaestroConfig::adaptive(16);
+        cap.policy = Policy::PowerCap { watts: 120.0 };
+        // Decision traces the report does not summarize.
+        let traces = |m: &Maestro| {
+            (
+                m.dvfs_trace().map(|t| format!("{:?}", t.borrow())),
+                m.powercap_trace().map(|t| format!("{:?}", t.borrow())),
             )
-            .unwrap()
-            .report()
-            .expect("unbroken run completes");
+        };
 
-        let mut a = Maestro::new(MaestroConfig::adaptive(16));
-        let snap = a
-            .run_captured(
-                "wl",
-                &mut (),
-                spec.clone().into_task(),
-                &SnapshotPlan::suspend_at(suspend_ns),
-            )
-            .unwrap()
-            .suspended()
-            .expect("run suspends at the fence");
-        assert_eq!(snap.t_ns(), suspend_ns);
-        assert_eq!(snap.name(), "wl");
+        for (cfg, suspend_ns) in
+            [(MaestroConfig::adaptive(16), 150_000_000), (dvfs, 350_000_000), (cap, 350_000_000)]
+        {
+            let policy = cfg.policy;
+            let mut un = Maestro::new(cfg.clone());
+            let reference = un
+                .run_captured(
+                    "wl",
+                    &mut (),
+                    spec.clone().into_task(),
+                    &SnapshotPlan::none().with_fence(suspend_ns),
+                )
+                .unwrap()
+                .report()
+                .expect("unbroken run completes");
 
-        // Round-trip the snapshot through its on-disk form.
-        let snap = MaestroSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+            let mut a = Maestro::new(cfg.clone());
+            let snap = a
+                .run_captured(
+                    "wl",
+                    &mut (),
+                    spec.clone().into_task(),
+                    &SnapshotPlan::suspend_at(suspend_ns),
+                )
+                .unwrap()
+                .suspended()
+                .expect("run suspends at the fence");
+            assert_eq!(snap.t_ns(), suspend_ns);
+            assert_eq!(snap.name(), "wl");
 
-        let mut b = Maestro::new(MaestroConfig::adaptive(16));
-        let out = b
-            .resume_captured(&mut (), &snap, &SnapshotPlan::none())
-            .unwrap()
-            .report()
-            .expect("resumed run completes");
+            // Round-trip the snapshot through its on-disk form.
+            let snap = MaestroSnapshot::from_bytes(&snap.to_bytes()).unwrap();
 
-        assert_eq!(out.elapsed_s.to_bits(), reference.elapsed_s.to_bits(), "elapsed bit-exact");
-        assert_eq!(out.joules.to_bits(), reference.joules.to_bits(), "energy bit-exact");
-        assert_eq!(out.avg_watts.to_bits(), reference.avg_watts.to_bits());
-        assert_eq!(out.stats, reference.stats);
-        assert_eq!(out.throttle, reference.throttle, "controller summary identical");
-        assert_eq!(out.to_string(), reference.to_string(), "report text identical");
+            let mut b = Maestro::new(cfg);
+            let out = b
+                .resume_captured(&mut (), &snap, &SnapshotPlan::none())
+                .unwrap()
+                .report()
+                .expect("resumed run completes");
+
+            let bits =
+                |r: &RunReport| (r.elapsed_s.to_bits(), r.joules.to_bits(), r.avg_watts.to_bits());
+            assert_eq!(bits(&out), bits(&reference), "{policy:?}: elapsed/energy bit-exact");
+            assert_eq!(out.stats, reference.stats, "{policy:?}");
+            assert_eq!(out.throttle, reference.throttle, "{policy:?}: controller summary");
+            assert_eq!(out.to_string(), reference.to_string(), "{policy:?}: report text");
+            assert_eq!(traces(&b), traces(&un), "{policy:?}: decision trace");
+        }
     }
 
     #[test]

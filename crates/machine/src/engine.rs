@@ -162,8 +162,9 @@ struct SocketState {
 /// `Machine::core_ocr`) exact and flag the affected socket; the next read
 /// re-sums the per-core slices in core order — byte-identical to the
 /// brute-force recomputation (same products, same summation order), which
-/// `--cfg maestro_verify` builds assert on every read. The two dirty flags
-/// are split because duty/P-state changes cannot move the OCR sum.
+/// debug builds (and so every `cargo test` run) assert on every read. The
+/// two dirty flags are split because duty/P-state changes cannot move the
+/// OCR sum.
 #[derive(Clone, Debug)]
 struct PowerCache {
     power_dirty: Cell<bool>,
@@ -465,8 +466,7 @@ impl Machine {
     pub fn socket_outstanding_refs(&self, socket: SocketId) -> f64 {
         self.refresh_power_cache(socket);
         let cached = self.power_cache[socket.index()].ocr_sum.get();
-        #[cfg(maestro_verify)]
-        assert_eq!(cached.to_bits(), self.compute_socket_outstanding_refs(socket).to_bits());
+        debug_assert_eq!(cached.to_bits(), self.compute_socket_outstanding_refs(socket).to_bits());
         cached
     }
 
@@ -508,8 +508,7 @@ impl Machine {
         }
         self.refresh_power_cache(socket);
         let cached = self.power_cache[socket.index()].nonleak_w.get();
-        #[cfg(maestro_verify)]
-        assert_eq!(cached.to_bits(), self.compute_socket_power_nonleak_w(socket).to_bits());
+        debug_assert_eq!(cached.to_bits(), self.compute_socket_power_nonleak_w(socket).to_bits());
         cached
     }
 

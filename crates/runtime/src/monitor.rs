@@ -71,25 +71,18 @@ pub trait Monitor {
     /// throttle directives. Must advance its own deadline.
     fn fire(&mut self, machine: &mut Machine, throttle: &mut ThrottleState);
 
-    /// Snapshot hook: serialize this monitor's dynamic state into `w`. The
-    /// default writes nothing — correct only for stateless monitors; any
-    /// monitor with a deadline or accumulated data should override both
-    /// hooks as a matched pair.
-    fn snap_state(&self, w: &mut SnapWriter) {
-        let _ = w;
-    }
+    /// Snapshot hook: serialize this monitor's dynamic state into `w`.
+    /// Required, with no default, so a monitor with a deadline or
+    /// accumulated data cannot silently lose it at a snapshot fence; a
+    /// stateless monitor writes nothing. Implement it and
+    /// [`Monitor::restore_state`] as a matched pair.
+    fn snap_state(&self, w: &mut SnapWriter);
 
     /// Snapshot hook: restore state captured by [`Monitor::snap_state`].
     /// `machine` is the already-restored machine, for monitors that must
     /// rebuild components against it.
-    fn restore_state(
-        &mut self,
-        machine: &Machine,
-        r: &mut SnapReader<'_>,
-    ) -> Result<(), SnapError> {
-        let _ = (machine, r);
-        Ok(())
-    }
+    fn restore_state(&mut self, machine: &Machine, r: &mut SnapReader<'_>)
+        -> Result<(), SnapError>;
 
     /// Post-restore hook: re-apply any throttle directive this monitor owns
     /// as *policy*. The throttle limit is deliberately not serialized (it is

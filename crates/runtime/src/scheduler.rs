@@ -27,7 +27,7 @@ use maestro_machine::{
 use crate::cancel::CancelToken;
 use crate::events::{key_from_time_ns, time_ns_from_key, EventQueue};
 use crate::monitor::{Monitor, ThrottleState};
-use crate::params::{EventDriver, ParamsError, RuntimeParams};
+use crate::params::{ParamsError, RuntimeParams};
 use crate::report::{RunOutcome, RunStats};
 use crate::service::{RequestSource, ServiceInjection};
 use crate::spec::{SpecTask, TaskSpec};
@@ -637,15 +637,16 @@ impl Runtime {
 
     /// Fingerprint of this runtime's *static* configuration, stamped into
     /// snapshot headers and checked on restore. Covers the machine config,
-    /// worker count, placement, and monitor count — deliberately **not**
-    /// controller policy knobs or throttle limits, so a warm snapshot can be
-    /// forked across policy variants.
+    /// worker count, and monitor count — deliberately **not** controller
+    /// policy knobs or throttle limits, so a warm snapshot can be forked
+    /// across policy variants.
     pub fn config_fingerprint(&self) -> u64 {
+        // Placement is always scatter; the literal keeps the description
+        // (and so every stored snapshot's header) byte-identical.
         let desc = format!(
-            "{:?}|workers={}|placement={:?}|monitors={}",
+            "{:?}|workers={}|placement=Scatter|monitors={}",
             self.machine.config(),
             self.params.workers,
-            self.params.placement,
             self.monitors.len()
         );
         fingerprint(desc.as_bytes())
@@ -804,18 +805,14 @@ fn spec_task<C: 'static>(spec: TaskSpec, phase: u8) -> BoxTask<C> {
     Box::new(SpecTask::resume(spec, phase))
 }
 
-/// Core a worker is pinned to under the configured placement policy.
-fn placement_core(params: &RuntimeParams, machine: &Machine, worker: usize) -> CoreId {
-    match params.placement {
-        crate::params::Placement::Block => CoreId(worker as u16),
-        crate::params::Placement::Scatter => {
-            let topo = machine.topology();
-            let sockets = topo.sockets as usize;
-            let socket = worker % sockets;
-            let index = worker / sockets;
-            CoreId((socket * topo.cores_per_socket as usize + index) as u16)
-        }
-    }
+/// Core a worker is pinned to: workers are scattered round-robin across
+/// sockets (`OMP_PROC_BIND=spread`), balancing shepherd populations.
+fn placement_core(machine: &Machine, worker: usize) -> CoreId {
+    let topo = machine.topology();
+    let sockets = topo.sockets as usize;
+    let socket = worker % sockets;
+    let index = worker / sockets;
+    CoreId((socket * topo.cores_per_socket as usize + index) as u16)
 }
 
 /// Per-run execution state, borrowing the runtime.
@@ -920,7 +917,7 @@ impl<'r, C> Exec<'r, C> {
         let run_start_j = rt.machine.total_energy_joules();
         let deadline_abs_ns = rt.params.deadline_ns.map(|d| run_start_ns.saturating_add(d));
         let worker_core: Vec<CoreId> =
-            (0..n_workers).map(|w| placement_core(&rt.params, &rt.machine, w)).collect();
+            (0..n_workers).map(|w| placement_core(&rt.machine, w)).collect();
         let worker_shep: Vec<usize> = worker_core
             .iter()
             .map(|&c| rt.machine.topology().socket_of(c).index())
@@ -1033,8 +1030,7 @@ impl<'r, C> Exec<'r, C> {
     }
 
     fn total_active(&self) -> usize {
-        #[cfg(maestro_verify)]
-        assert_eq!(
+        debug_assert_eq!(
             self.active_total,
             self.shepherds.iter().map(|s| s.active).sum::<usize>(),
             "active_total counter diverged from the per-shepherd scan"
@@ -1192,11 +1188,9 @@ impl<'r, C> Exec<'r, C> {
     fn restore_cores(&mut self) {
         for w in 0..self.workers.len() {
             let core = self.core_of(w);
-            if self.rt.params.low_power_spin {
-                let rt = &mut *self.rt;
-                let _ = rt.actuator.apply(&mut rt.machine, core, DutyCycle::FULL);
-            }
-            self.rt.machine.set_activity(core, CoreActivity::Idle);
+            let rt = &mut *self.rt;
+            let _ = rt.actuator.apply(&mut rt.machine, core, DutyCycle::FULL);
+            rt.machine.set_activity(core, CoreActivity::Idle);
         }
     }
 
@@ -1242,16 +1236,9 @@ impl<'r, C> Exec<'r, C> {
     }
 
     fn next_monitor_due(&self) -> Option<u64> {
-        let due = match self.rt.params.event_driver {
-            EventDriver::Queue => self.timers.peek().map(|e| e.key),
-            EventDriver::Scan => self.rt.monitors.iter().filter_map(|m| m.next_due_ns()).min(),
-        };
-        #[cfg(maestro_verify)]
-        assert_eq!(
-            self.timers.peek().map(|e| e.key),
-            self.rt.monitors.iter().filter_map(|m| m.next_due_ns()).min(),
-            "timer queue diverged from the monitor scan"
-        );
+        let due = self.timers.peek().map(|e| e.key);
+        #[cfg(debug_assertions)]
+        assert_eq!(due, self.scan_monitor_due(), "timer queue diverged from the monitor scan");
         due
     }
 
@@ -1429,8 +1416,7 @@ impl<'r, C> Exec<'r, C> {
     }
 
     fn has_spinners(&self) -> bool {
-        #[cfg(maestro_verify)]
-        assert_eq!(
+        debug_assert_eq!(
             self.spinner_count,
             self.workers.iter().filter(|w| matches!(w, WorkerState::Spinning { .. })).count(),
             "spinner_count counter diverged from the worker scan"
@@ -1470,8 +1456,7 @@ impl<'r, C> Exec<'r, C> {
     /// returns false, a full pass would visit no eligible worker whose
     /// `try_dispatch` can make progress.
     fn dispatch_needed(&self) -> bool {
-        #[cfg(maestro_verify)]
-        assert_eq!(
+        debug_assert_eq!(
             self.queued_total,
             self.shepherds.iter().map(|s| s.queue.len()).sum::<usize>(),
             "queued_total counter diverged from the shepherd-queue scan"
@@ -1549,13 +1534,11 @@ impl<'r, C> Exec<'r, C> {
                         // dispatch pass, so no wake event can be lost).
                         self.stats.throttled_worker_ns += self.rt.machine.now_ns() - since_ns;
                         let core = self.core_of(w);
-                        if self.rt.params.low_power_spin {
-                            let rt = &mut *self.rt;
-                            let outcome = rt.actuator.apply(&mut rt.machine, core, DutyCycle::FULL);
-                            self.stats.duty_writes += 1;
-                            self.pending_overhead_ns[w] += f64::from(outcome.attempts().max(1))
-                                * self.rt.machine.config().duty_write_latency_ns() as f64;
-                        }
+                        let rt = &mut *self.rt;
+                        let outcome = rt.actuator.apply(&mut rt.machine, core, DutyCycle::FULL);
+                        self.stats.duty_writes += 1;
+                        self.pending_overhead_ns[w] += f64::from(outcome.attempts().max(1))
+                            * self.rt.machine.config().duty_write_latency_ns() as f64;
                         self.rt.machine.set_activity(core, CoreActivity::Idle);
                         self.set_worker(w, WorkerState::Idle);
                         true
@@ -1573,14 +1556,12 @@ impl<'r, C> Exec<'r, C> {
         self.pending_overhead_ns[w] = 0.0;
         if let WorkerState::Spinning { since_ns, .. } = self.workers[w] {
             self.stats.throttled_worker_ns += self.rt.machine.now_ns() - since_ns;
-            if self.rt.params.low_power_spin {
-                let core = self.core_of(w);
-                let rt = &mut *self.rt;
-                let outcome = rt.actuator.apply(&mut rt.machine, core, DutyCycle::FULL);
-                self.stats.duty_writes += 1;
-                overhead_ns += f64::from(outcome.attempts().max(1))
-                    * self.rt.machine.config().duty_write_latency_ns() as f64;
-            }
+            let core = self.core_of(w);
+            let rt = &mut *self.rt;
+            let outcome = rt.actuator.apply(&mut rt.machine, core, DutyCycle::FULL);
+            self.stats.duty_writes += 1;
+            overhead_ns += f64::from(outcome.attempts().max(1))
+                * self.rt.machine.config().duty_write_latency_ns() as f64;
         }
 
         let active = self.total_active() + 1;
@@ -1634,41 +1615,30 @@ impl<'r, C> Exec<'r, C> {
                 self.stats.spin_entries += 1;
                 let core = self.core_of(w);
                 self.rt.machine.set_activity(core, CoreActivity::Spin);
-                if self.rt.params.low_power_spin {
-                    let spin_duty = self.rt.params.spin_duty;
-                    let rt = &mut *self.rt;
-                    let outcome = rt.actuator.apply(&mut rt.machine, core, spin_duty);
-                    self.stats.duty_writes += 1;
-                    // Each MSR write attempt stalls the core for ~250 memory
-                    // ops; a retried or forced transaction costs more. A core
-                    // whose breaker is open (or whose write could not be
-                    // verified) spins at FULL duty instead — the actuator
-                    // fails toward performance, never toward stuck-low.
-                    let cpu_rem_ns = f64::from(outcome.attempts().max(1))
-                        * self.rt.machine.config().duty_write_latency_ns() as f64;
-                    self.set_worker(
-                        w,
-                        WorkerState::Running(Segment {
-                            task: None,
-                            cpu_rem_ns,
-                            mem_rem_ns: 0.0,
-                            spin_epoch: self.wake_epoch,
-                            fold_ns: self.rt.machine.now_ns(),
-                            speed: 1.0,
-                            phi: 1.0,
-                            completion_abs: 0.0,
-                        }),
-                    );
-                    self.fresh_segments.push(w);
-                } else {
-                    self.set_worker(
-                        w,
-                        WorkerState::Spinning {
-                            epoch_seen: self.wake_epoch,
-                            since_ns: self.rt.machine.now_ns(),
-                        },
-                    );
-                }
+                let rt = &mut *self.rt;
+                let outcome = rt.actuator.apply(&mut rt.machine, core, DutyCycle::MIN);
+                self.stats.duty_writes += 1;
+                // Each MSR write attempt stalls the core for ~250 memory
+                // ops; a retried or forced transaction costs more. A core
+                // whose breaker is open (or whose write could not be
+                // verified) spins at FULL duty instead — the actuator
+                // fails toward performance, never toward stuck-low.
+                let cpu_rem_ns = f64::from(outcome.attempts().max(1))
+                    * self.rt.machine.config().duty_write_latency_ns() as f64;
+                self.set_worker(
+                    w,
+                    WorkerState::Running(Segment {
+                        task: None,
+                        cpu_rem_ns,
+                        mem_rem_ns: 0.0,
+                        spin_epoch: self.wake_epoch,
+                        fold_ns: self.rt.machine.now_ns(),
+                        speed: 1.0,
+                        phi: 1.0,
+                        completion_abs: 0.0,
+                    }),
+                );
+                self.fresh_segments.push(w);
                 true
             }
         })
@@ -2016,12 +1986,11 @@ impl<'r, C> Exec<'r, C> {
     }
 
     /// Fold worker `w`'s running segment to `now_ns`, assign the rates in
-    /// effect right now, recompute its absolute completion time, and (in
-    /// queue mode) schedule the completion event under a fresh generation.
+    /// effect right now, recompute its absolute completion time, and
+    /// schedule the completion event under a fresh generation.
     fn rate_segment(&mut self, w: usize, now_ns: u64, dilation: f64) {
         let speed = self.rt.machine.effective_speed(self.worker_core[w]) / dilation;
         let phi = self.phi_seen[self.worker_shep[w]];
-        let queue = self.rt.params.event_driver == EventDriver::Queue;
         let WorkerState::Running(seg) = &mut self.workers[w] else {
             return;
         };
@@ -2037,9 +2006,7 @@ impl<'r, C> Exec<'r, C> {
         }
         let key = key_from_time_ns(seg.completion_abs.max(0.0));
         self.seg_gen[w] += 1;
-        if queue {
-            self.completions.insert(key, w as u32, self.seg_gen[w]);
-        }
+        self.completions.insert(key, w as u32, self.seg_gen[w]);
     }
 
     /// Bring cached per-segment rates in line with the machine, and give
@@ -2104,24 +2071,17 @@ impl<'r, C> Exec<'r, C> {
         {
             return None;
         }
-        let next_completion = match self.rt.params.event_driver {
-            EventDriver::Queue => {
-                let seg_gen = &self.seg_gen;
-                self.completions
-                    .peek_live(|id, gen| seg_gen[id as usize] == gen)
-                    .map(|e| time_ns_from_key(e.key))
-            }
-            EventDriver::Scan => {
-                let mut min: Option<f64> = None;
-                for state in &self.workers {
-                    if let WorkerState::Running(seg) = state {
-                        let c = seg.completion_abs.max(0.0);
-                        min = Some(min.map_or(c, |m: f64| m.min(c)));
-                    }
-                }
-                min
-            }
-        };
+        let seg_gen = &self.seg_gen;
+        let next_completion = self
+            .completions
+            .peek_live(|id, gen| seg_gen[id as usize] == gen)
+            .map(|e| time_ns_from_key(e.key));
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            next_completion,
+            self.scan_next_completion(),
+            "completion queue diverged from the segment scan"
+        );
         let mut dt: Option<f64> = next_completion.map(|c| (c - now as f64).max(0.0));
         if let Some(due) = self.next_monitor_due() {
             let cand = due.saturating_sub(now) as f64;
@@ -2146,33 +2106,25 @@ impl<'r, C> Exec<'r, C> {
     /// Retire every segment whose completion time the clock has reached and
     /// continue the affected tasks. Due events are collected first and
     /// processed in ascending worker order, so results never depend on heap
-    /// internals (the scan driver produces the same canonical order
-    /// directly).
+    /// internals.
     fn progress_segments(&mut self, app: &mut C) -> Result<(), RuntimeError> {
         let bound = self.rt.machine.now_ns() as f64 + EPS_NS;
         let mut due = std::mem::take(&mut self.due_scratch);
         due.clear();
-        match self.rt.params.event_driver {
-            EventDriver::Queue => {
-                let key_bound = key_from_time_ns(bound);
-                let seg_gen = &self.seg_gen;
-                while let Some(e) =
-                    self.completions.pop_due(key_bound, |id, gen| seg_gen[id as usize] == gen)
-                {
-                    due.push(e.id as usize);
-                }
-                due.sort_unstable();
-            }
-            EventDriver::Scan => {
-                for (w, state) in self.workers.iter().enumerate() {
-                    if let WorkerState::Running(seg) = state {
-                        if seg.completion_abs <= bound {
-                            due.push(w);
-                        }
-                    }
-                }
-            }
+        let key_bound = key_from_time_ns(bound);
+        let seg_gen = &self.seg_gen;
+        while let Some(e) =
+            self.completions.pop_due(key_bound, |id, gen| seg_gen[id as usize] == gen)
+        {
+            due.push(e.id as usize);
         }
+        due.sort_unstable();
+        #[cfg(debug_assertions)]
+        assert!(
+            due.iter().copied().eq(self.scan_due(bound)),
+            "completion queue diverged from the segment scan: {due:?} vs {:?}",
+            self.scan_due(bound).collect::<Vec<_>>()
+        );
 
         let result = self.retire_due(app, &due);
         due.clear();
@@ -2724,6 +2676,17 @@ impl<'r, C> Exec<'r, C> {
                 _ => return Err(SnapError::Corrupt("unknown worker state tag")),
             });
         }
+        // A shepherd's active count is its workers running a task; a wrong
+        // count would underflow when those segments retire.
+        let mut running = vec![0usize; self.shepherds.len()];
+        for (w, state) in workers.iter().enumerate() {
+            if matches!(state, WorkerState::Running(seg) if seg.task.is_some()) {
+                running[self.worker_shep[w]] += 1;
+            }
+        }
+        if self.shepherds.iter().zip(&running).any(|(shep, &n)| shep.active != n) {
+            return Err(SnapError::Corrupt("shepherd active count disagrees with its workers"));
+        }
 
         // Monitors (framed; each section must be fully consumed).
         let n_monitors = r.len()?;
@@ -2924,6 +2887,35 @@ fn restore_totals(r: &mut SnapReader<'_>) -> Result<ActuationTotals, SnapError> 
         breaker_trips: r.u64()?,
         open_breakers: r.u64()?,
     })
+}
+
+/// Linear-scan twins of the event-queue lookups, shaped like the scheduler
+/// before it had event queues. Debug builds assert every queue lookup equal
+/// to its scan, so the debug test suite cross-checks the queue bookkeeping
+/// (generations, timer rebuilds, due-set collection) on every event of
+/// every test; release builds carry none of this.
+#[cfg(debug_assertions)]
+impl<C> Exec<'_, C> {
+    fn scan_monitor_due(&self) -> Option<u64> {
+        self.rt.monitors.iter().filter_map(|m| m.next_due_ns()).min()
+    }
+
+    fn scan_next_completion(&self) -> Option<f64> {
+        self.workers
+            .iter()
+            .filter_map(|state| match state {
+                WorkerState::Running(seg) => Some(seg.completion_abs.max(0.0)),
+                _ => None,
+            })
+            .reduce(f64::min)
+    }
+
+    fn scan_due(&self, bound: f64) -> impl Iterator<Item = usize> + '_ {
+        self.workers.iter().enumerate().filter_map(move |(w, state)| match state {
+            WorkerState::Running(seg) if seg.completion_abs <= bound => Some(w),
+            _ => None,
+        })
+    }
 }
 
 /// Backstop for the backstop: if an unwind ever crosses `finish` (so `teardown`
@@ -3177,6 +3169,15 @@ mod tests {
             fn fire(&mut self, _m: &mut Machine, throttle: &mut ThrottleState) {
                 throttle.active = false;
                 self.fired = true;
+            }
+            // Never snapshotted: this test runs without a capture plan.
+            fn snap_state(&self, _w: &mut SnapWriter) {}
+            fn restore_state(
+                &mut self,
+                _m: &Machine,
+                _r: &mut SnapReader<'_>,
+            ) -> Result<(), SnapError> {
+                Ok(())
             }
         }
         let mut rt = runtime(16);
@@ -3806,20 +3807,23 @@ mod tests {
 
     #[test]
     fn restore_rejects_inconsistent_child_slots_with_a_typed_error() {
-        // Each tamper gets the task table, a parent with live children, and
-        // those children's ids.
-        type Tamper = fn(&mut [Option<TaskRecord<()>>], TaskId, &[TaskId]);
-        let tampers: [(&str, Tamper); 3] = [
-            ("slot out of range", |t, p, kids| {
-                let len = t[p].as_ref().unwrap().inbox.len();
-                t[kids[0]].as_mut().unwrap().parent = Some((p, len));
+        // Each tamper gets the restored run, a parent with live children,
+        // and those children's ids.
+        type Tamper = fn(&mut Exec<'_, ()>, TaskId, &[TaskId]);
+        let tampers: [(&str, Tamper); 4] = [
+            ("slot out of range", |e, p, kids| {
+                let len = e.tasks[p].as_ref().unwrap().inbox.len();
+                e.tasks[kids[0]].as_mut().unwrap().parent = Some((p, len));
             }),
-            ("shared slot", |t, p, kids| {
-                let slot = t[kids[0]].as_ref().unwrap().parent.unwrap().1;
-                t[kids[1]].as_mut().unwrap().parent = Some((p, slot));
+            ("shared slot", |e, p, kids| {
+                let slot = e.tasks[kids[0]].as_ref().unwrap().parent.unwrap().1;
+                e.tasks[kids[1]].as_mut().unwrap().parent = Some((p, slot));
             }),
-            ("too few pending children", |t, p, kids| {
-                t[p].as_mut().unwrap().pending_children = kids.len() - 1;
+            ("too few pending children", |e, p, kids| {
+                e.tasks[p].as_mut().unwrap().pending_children = kids.len() - 1;
+            }),
+            ("shepherd active count of zero", |e, _, _| {
+                e.shepherds.iter_mut().find(|s| s.active > 0).unwrap().active = 0;
             }),
         ];
         let plan = SnapshotPlan::suspend_at(2_000_000);
@@ -3838,7 +3842,7 @@ mod tests {
             let kids: Vec<TaskId> =
                 (0..exec.tasks.len()).filter(|&i| is_kid(&exec.tasks[i])).collect();
             assert!(kids.len() >= 2, "the parent has two live children");
-            tamper(&mut exec.tasks, parent, &kids);
+            tamper(&mut exec, parent, &kids);
             let bytes = exec.snapshot_bytes(exec.rt.config_fingerprint()).unwrap();
             drop(exec);
             let err = runtime(4)

@@ -4,7 +4,10 @@
 //! deactivation, app completion, region termination, loop termination,
 //! cancellation), even when a fault plan is eating wake notifications.
 
-use maestro_machine::{Cost, DutyCycle, FaultPlan, Machine, MachineConfig, PState, SocketId};
+use maestro_machine::{
+    Cost, DutyCycle, FaultPlan, Machine, MachineConfig, PState, SnapError, SnapReader, SnapWriter,
+    SocketId,
+};
 use maestro_runtime::{
     compute_leaf, fork_join, parallel_for, sequential, BoxTask, CancelAt, CancelToken, Monitor,
     Runtime, RuntimeParams, TaskValue, ThrottleState,
@@ -24,6 +27,11 @@ impl Monitor for ScriptedToggles {
     fn fire(&mut self, _m: &mut Machine, throttle: &mut ThrottleState) {
         throttle.active = !throttle.active;
         self.next += 1;
+    }
+    // Never snapshotted: these properties run without a capture plan.
+    fn snap_state(&self, _w: &mut SnapWriter) {}
+    fn restore_state(&mut self, _m: &Machine, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        Ok(())
     }
 }
 
